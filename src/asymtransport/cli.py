@@ -373,7 +373,7 @@ def cmd_verify(spec):
 def _initial_config(spec):
     if spec.init:
         eta = np.asarray(configspace.config_from_line(spec.init))
-        if len(eta) != spec.L and spec.L != ExperimentSpec.L:
+        if len(eta) != spec.L:
             raise SystemExit("init length %d does not match L=%d"
                              % (len(eta), spec.L))
         return eta
@@ -403,8 +403,26 @@ def cmd_simulate(spec):
 
 # --------------------------------------------------------------- current
 
+def _check_monte_carlo(spec):
+    """Reject current requests whose comparison row could only read
+    se = nan or z = inf, or whose closed form does not exist."""
+    if spec.replicas < 2:
+        raise SystemExit("need --replicas >= 2 for a standard error")
+    if not 0.0 < spec.q < 1.0:
+        raise SystemExit("the q-moment closed forms need 0 < q < 1")
+    if spec.t <= 0:
+        raise SystemExit("need a positive time horizon")
+    half = spec.window // 2
+    if not 0 < half + spec.bond < spec.window:
+        raise SystemExit("need --window >= 2 and a --bond inside the window "
+                         "(%d <= bond <= %d)"
+                         % (1 - half, spec.window - half - 1))
+
+
 def cmd_current(spec):
     _require_seed(spec)
+    if spec.formula in ("q-step", "q-product"):
+        _check_monte_carlo(spec)
     p = ModelParams(q=spec.q, k=spec.k, sigma=spec.sigma)
     W = spec.window
     half = W // 2
@@ -619,6 +637,9 @@ def spec_from_args(args):
         val = getattr(args, f.name, None)
         if val is not None:
             setattr(spec, f.name, val)
+    if getattr(args, "init", None) and getattr(args, "L", None) is None:
+        # --init alone fixes the chain length; an explicit --L must match it
+        spec.L = len(configspace.config_from_line(args.init))
     return spec
 
 

@@ -5,12 +5,21 @@ Exp(total rate) time, pick a transition with probability proportional to its
 rate.  Edge rates are updated incrementally (a jump at edge i only changes
 the rates of edges i-1, i, i+1), so each event costs O(1) rate evaluations.
 
+The event loop is scalar Python over lists: on chains of tens of sites
+NumPy's per-call overhead would dominate each event.  It still reproduces the array formulation (``rates.sum()``,
+``np.searchsorted(np.cumsum(rates), u)``) bit for bit: the total rate is
+summed in NumPy's own float64 order and the pick uses sequential running
+sums, so event times and jump choices do not depend on which of the two
+computes them.
+
 Reproducibility contract: every replica draws from its own counter-based
 stream keyed by (master seed, replica index), and ensemble reduction always
 runs in replica order, so results are byte-identical for any worker count.
 """
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
+from itertools import accumulate
 import concurrent.futures
 import math
 
@@ -85,83 +94,151 @@ class TrajectoryLog:
         return out
 
 
+def _pairwise_sum(x):
+    """Sum of the list of floats ``x``, rounded exactly as NumPy's float64
+    ``np.add.reduce`` rounds it.
+
+    NumPy sums fewer than 8 items in order.  From 8 to 128 items it keeps 8
+    strided accumulators, combines them as
+    ``((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))`` and adds the remainder in
+    order.  Above 128 it splits at ``n//2 - (n//2)%8`` and recurses.
+    The builtin ``sum`` is not used: from Python 3.12 on it compensates.
+    """
+    n = len(x)
+    if n < 8:
+        s = 0.0
+        for v in x:
+            s += v
+        return s
+    if n > 128:
+        mid = n // 2 - (n // 2) % 8
+        return _pairwise_sum(x[:mid]) + _pairwise_sum(x[mid:])
+    it = iter(x)
+    rows = zip(it, it, it, it, it, it, it, it)  # drops the n % 8 left over
+    r0, r1, r2, r3, r4, r5, r6, r7 = next(rows)
+    for a0, a1, a2, a3, a4, a5, a6, a7 in rows:
+        r0 += a0
+        r1 += a1
+        r2 += a2
+        r3 += a3
+        r4 += a4
+        r5 += a5
+        r6 += a6
+        r7 += a7
+    s = ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
+    for v in x[n - n % 8:]:
+        s += v
+    return s
+
+
 def simulate_ctmc(rates_spec, eta0, t_max, rng, occupancy_cap=OCCUPANCY_CAP,
                   record_events=True):
     """Simulate a discrete edge-jump process exactly.
+
+    The event loop is plain Python over lists: the occupancies, the
+    ``2*(L-1)`` edge rates ``[right_1, left_1, right_2, ...]`` and their
+    sequential running sums.  A jump at edge i refreshes the rates of
+    edges i-1, i, i+1; the running sums from there on are recomputed only
+    when a later pick lands beyond the part still valid.  The total rate
+    is summed in NumPy's float64 order (``_pairwise_sum``) and the jump is
+    the first rate whose running sum reaches ``u = U * total``, clamped to
+    the last rate, exactly as ``searchsorted(cumsum, u)`` picks it.  Event
+    times and choices are therefore bit for bit those of the array
+    formulation with ``rates.sum()`` and ``np.cumsum``.
 
     Parameters
     ----------
     rates_spec : callable or (array, array)
         Either ``rate_fn(eta, i) -> (rate_right, rate_left)`` for 1-based
-        edge i on a closed chain, or a pair of occupancy-indexed lookup
-        tables ``(right[na, nb], left[na, nb])`` giving the edge rates for
-        left/right site occupancies (na, nb).  Tables make the hot loop a
-        vectorized lookup and are the fast path for Monte Carlo runs.
+        edge i on a closed chain, with ``eta`` an integer array, or a pair
+        of occupancy-indexed lookup tables ``(right[na, nb], left[na, nb])``
+        giving the edge rates for left/right site occupancies (na, nb).
+        Tables are the fast path for Monte Carlo runs: each refresh is two
+        list lookups instead of a rate-function call.
     eta0 : array_like of int
     t_max : float
     rng : numpy Generator
+        Each event draws ``rng.exponential`` then ``rng.random``.
     occupancy_cap : int
         Aborts if any site exceeds this (runaway clustering guard).
     record_events : bool
         When False the event list is left empty (currents are still
         recoverable from the tail-count change between the initial and
-        final configurations).
+        final configurations); ``n_events`` is counted either way.
     """
-    eta = np.asarray(eta0, dtype=int).copy()
-    L = len(eta)
-    n_edges = L - 1
-    tabular = not callable(rates_spec)
-    if tabular:
+    initial = np.asarray(eta0, dtype=int).copy()
+    eta = initial.tolist()
+    n_edges = len(eta) - 1
+    n = 2 * n_edges
+    rates = [0.0] * n
+    if callable(rates_spec):
+        cap = occupancy_cap
+
+        def refresh(lo, hi):
+            view = np.array(eta)
+            for e in range(lo, hi):
+                r, l = rates_spec(view, e + 1)
+                rates[2 * e] = float(r)
+                rates[2 * e + 1] = float(l)
+    else:
         table_r, table_l = rates_spec
         cap = min(occupancy_cap, table_r.shape[0] - 1)
-    else:
-        cap = occupancy_cap
-    rates = np.empty((n_edges, 2))
+        top = sum(eta) + 1  # no site ever holds more than every particle
+        right = table_r[:top, :top].tolist()
+        left = table_l[:top, :top].tolist()
 
-    def refresh():
-        if tabular:
-            rates[:, 0] = table_r[eta[:-1], eta[1:]]
-            rates[:, 1] = table_l[eta[:-1], eta[1:]]
-        else:
-            for i in range(1, n_edges + 1):
-                rates[i - 1] = rates_spec(eta, i)
+        def refresh(lo, hi):
+            for e in range(lo, hi):
+                na, nb = eta[e], eta[e + 1]
+                rates[2 * e] = right[na][nb]
+                rates[2 * e + 1] = left[na][nb]
 
-    refresh()
-    log = TrajectoryLog(initial=eta.copy(), t_final=t_max)
-    flat = rates.ravel()
+    refresh(0, n_edges)
+    # cums[i] = rates[0] + ... + rates[i-1], summed in order, for i <= valid.
+    # The leading 0.0 can only change the sign of a zero running sum, which
+    # no comparison with u >= 0 can see.
+    cums = [0.0] * (n + 1)
+    valid = 0
+    log = TrajectoryLog(initial=initial, t_final=t_max)
+    append = log.events.append
+    exponential, random = rng.exponential, rng.random
+    n_events = 0
     t = 0.0
     while True:
-        total = flat.sum()
+        total = _pairwise_sum(rates)
         if total <= 0.0:
-            log.final = eta.copy()
-            return log
-        t += rng.exponential(1.0 / total)
+            break
+        t += exponential(1.0 / total)
         if t > t_max:
-            log.final = eta.copy()
-            return log
-        u = rng.random() * total
-        j = int(np.searchsorted(np.cumsum(flat), u))
-        edge, lr = divmod(min(j, 2 * n_edges - 1), 2)
-        if lr == 0:
-            eta[edge] -= 1
-            eta[edge + 1] += 1
-            if record_events:
-                log.events.append((t, edge + 1, +1))
-        else:
+            break
+        u = random() * total
+        if u > cums[valid]:
+            cums[valid:] = accumulate(rates[valid:], initial=cums[valid])
+            valid = n
+        j = bisect_left(cums, u, 1, valid + 1) - 1
+        if j == n:
+            j -= 1
+        edge = j >> 1
+        n_events += 1
+        if j & 1:
             eta[edge] += 1
             eta[edge + 1] -= 1
             if record_events:
-                log.events.append((t, edge + 1, -1))
+                append((t, edge + 1, -1))
+        else:
+            eta[edge] -= 1
+            eta[edge + 1] += 1
+            if record_events:
+                append((t, edge + 1, +1))
         if eta[edge] > cap or eta[edge + 1] > cap:
             raise RuntimeError("occupancy cap %d exceeded" % cap)
-        if tabular:
-            lo, hi = max(0, edge - 1), min(n_edges, edge + 2)
-            sl = slice(lo, hi)
-            rates[sl, 0] = table_r[eta[lo:hi], eta[lo + 1:hi + 1]]
-            rates[sl, 1] = table_l[eta[lo:hi], eta[lo + 1:hi + 1]]
-        else:
-            for i in range(max(1, edge), min(n_edges, edge + 2) + 1):
-                rates[i - 1] = rates_spec(eta, i)
+        lo = edge - 1 if edge else 0
+        refresh(lo, edge + 2 if edge + 2 < n_edges else n_edges)
+        if 2 * lo < valid:
+            valid = 2 * lo
+    log.final = np.array(eta)
+    log.n_events = n_events
+    return log
 
 
 def simulate_dual_walker(kind, start, t, params, rng):

@@ -123,8 +123,11 @@ _EDGE_RATE_FNS = {
 
 def edge_rate_table(model, params, n_max):
     """Occupancy-pair lookup tables (right[na, nb], left[na, nb]) for the
-    single-particle-move models; the simulation fast path indexes these
-    instead of re-evaluating q-deformed rates per event."""
+    single-particle-move models, for occupancies 0..n_max.
+
+    ``engine.simulate_ctmc`` converts them once per trajectory to nested
+    lists and refreshes each edge rate with two list lookups, instead of
+    re-evaluating q-deformed rates per event."""
     rate_fn = _EDGE_RATE_FNS[model]
     p2 = ModelParams(q=params.q, k=params.k, sigma=params.sigma, L=2)
     right = np.zeros((n_max + 1, n_max + 1))

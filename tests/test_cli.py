@@ -68,6 +68,39 @@ def test_simulate_matches_golden_file(tmp_path):
     assert _read(out) == _read(os.path.join(DATA, "simulate_golden.csv"))
 
 
+def test_simulate_long_chain_matches_golden_file(tmp_path):
+    # 72 sites give 142 edge rates: the total takes NumPy's split-and-recurse
+    # and 8-accumulator summation paths, and any last-bit change in it moves
+    # the %.17g event times written here
+    out = tmp_path / "sim.csv"
+    code = main(["simulate", "--model", "asip",
+                 "--init", ",".join(["2"] * 36 + ["0"] * 36), "--q", "0.8",
+                 "--k", "0.5", "--t", "0.3", "--replicas", "2", "--seed", "19",
+                 "--out", str(out)])
+    assert code == 0
+    assert _read(out) == _read(os.path.join(DATA, "simulate_long_golden.csv"))
+
+
+# Rows written by the array-based event loop that the scalar loop replaced;
+# W = 40 gives 78 edge rates and W = 72 gives 142.
+CURRENT_GOLDEN = [
+    ("current_step_golden.csv",
+     ["--formula", "q-step", "--q", "0.8", "--k", "0.5", "--t", "1.0",
+      "--window", "40", "--bond", "0", "--replicas", "60", "--seed", "13"]),
+    ("current_product_golden.csv",
+     ["--formula", "q-product", "--q", "0.8", "--k", "0.5", "--t", "1.0",
+      "--window", "72", "--bernoulli", "0.4", "--replicas", "80",
+      "--seed", "17", "--workers", "2"]),
+]
+
+
+@pytest.mark.parametrize("golden,args", CURRENT_GOLDEN)
+def test_current_matches_golden_file(tmp_path, golden, args):
+    out = tmp_path / "cur.csv"
+    assert main(["current"] + args + ["--out", str(out)]) == 0
+    assert _read(out) == _read(os.path.join(DATA, golden))
+
+
 def test_simulate_deterministic_across_runs(tmp_path):
     args = ["simulate", "--model", "sip", "--L", "3", "--n", "2",
             "--k", "0.75", "--t", "0.5", "--replicas", "4", "--seed", "7"]
@@ -194,6 +227,29 @@ def test_init_length_mismatch_rejected():
     with pytest.raises(SystemExit):
         main(["simulate", "--model", "asip", "--L", "5", "--init", "1,1",
               "--t", "1", "--seed", "1"])
+
+
+def test_init_length_checked_against_default_valued_L():
+    # an explicit --L equal to the spec default is still a given length
+    with pytest.raises(SystemExit):
+        main(["simulate", "--model", "asip", "--L", "4", "--init", "2,0,1",
+              "--t", "1", "--seed", "1"])
+
+
+@pytest.mark.parametrize("bad", [
+    ["--replicas", "0"], ["--replicas", "1"], ["--q", "1.0"],
+    ["--t", "0"], ["--window", "1"], ["--bond", "20"], ["--bond", "-20"],
+])
+@pytest.mark.parametrize("formula", ["q-step", "q-product"])
+def test_current_bad_monte_carlo_input_rejected(tmp_path, formula, bad):
+    out = tmp_path / "cur.csv"
+    argv = ["current", "--formula", formula, "--q", "0.8", "--t", "0.5",
+            "--window", "40", "--replicas", "10", "--seed", "1",
+            "--out", str(out)] + bad
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert isinstance(exc.value.code, str)
+    assert not out.exists()
 
 
 def test_unknown_sampler_rejected():

@@ -38,6 +38,33 @@ def test_trajectory_conservation_and_serialization():
     assert engine.TrajectoryLog.events_from_lines(lines) == log.events
 
 
+def test_pairwise_sum_matches_numpy_bit_for_bit():
+    # the event loop's total must round exactly as np.add.reduce does, or
+    # event times drift in the last bit; lengths 0..300 cover the in-order,
+    # 8-accumulator and split-and-recurse paths
+    rng = np.random.default_rng(0)
+    for n in range(301):
+        for scale in (1.0, 1e-3 * 10.0 ** rng.integers(0, 9, n)):
+            x = rng.random(n) * scale
+            x[rng.random(n) < 0.5] = 0.0
+            assert engine._pairwise_sum(x.tolist()) == np.add.reduce(x), n
+
+
+def test_event_count_with_and_without_recording():
+    p = ModelParams(q=0.8, k=0.5, L=6)
+    eta0 = np.array([2, 2, 1, 0, 0, 0])
+    tables = _tables(p, 5)
+    for r in range(5):
+        rec = engine.simulate_ctmc(tables, eta0, 2.0,
+                                   engine.SeedTree(8).stream(r))
+        bare = engine.simulate_ctmc(tables, eta0, 2.0,
+                                    engine.SeedTree(8).stream(r),
+                                    record_events=False)
+        assert rec.n_events == len(rec.events) > 0
+        assert bare.events == [] and bare.n_events == rec.n_events
+        assert (bare.final_config() == rec.final_config()).all()
+
+
 def test_current_equals_tail_count_change():
     p = ModelParams(q=0.8, k=0.5, L=4)
     eta0 = np.array([2, 0, 1, 0])
