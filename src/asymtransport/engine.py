@@ -20,7 +20,6 @@ runs in replica order, so results are byte-identical for any worker count.
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import accumulate
-import concurrent.futures
 import math
 
 import numpy as np
@@ -277,8 +276,13 @@ def run_ensemble(job, replicas, master_seed, workers=1):
 
     The result is a deterministic function of (job, replicas, master_seed):
     replica r always uses the stream keyed (master_seed, r), and the
-    reduction sums a preallocated array in index order, so scheduling and
-    worker count cannot change the output bytes.
+    reduction sums a preallocated array in index order.
+
+    Replicas run in order in the calling thread; ``workers`` is accepted
+    and not used.  The event loop is plain Python that holds the
+    interpreter lock for every event, so worker threads could only pass
+    that lock back and forth, which slows each request and makes its
+    time depend on how the OS schedules the threads.
     """
     if replicas < 1:
         raise ValueError("need replicas >= 1")
@@ -290,14 +294,8 @@ def run_ensemble(job, replicas, master_seed, workers=1):
     first = one(0)
     values = np.empty((replicas,) + first.shape)
     values[0] = first
-    rest = range(1, replicas)
-    if workers > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as ex:
-            for r, v in zip(rest, ex.map(one, rest)):
-                values[r] = v
-    else:
-        for r in rest:
-            values[r] = one(r)
+    for r in range(1, replicas):
+        values[r] = one(r)
     mean = values.mean(axis=0)
     if replicas > 1:
         se = values.std(axis=0, ddof=1) / math.sqrt(replicas)
