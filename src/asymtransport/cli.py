@@ -387,6 +387,8 @@ def cmd_simulate(spec):
     _require_seed(spec)
     if spec.t <= 0:
         raise SystemExit("need a positive time horizon")
+    if spec.replicas < 1:
+        raise SystemExit("need --replicas >= 1")
     eta0 = _initial_config(spec)
     p = ModelParams(q=spec.q, k=spec.k, sigma=spec.sigma, L=len(eta0))
     tables = models.edge_rate_table(spec.model, p,
@@ -511,8 +513,30 @@ def cmd_rate(spec):
 
 # ------------------------------------------------------------ thermalize
 
+def _check_sampler(spec):
+    """Reject sampler requests whose histogram could only read nan or
+    whose sampler would raise on its parameters."""
+    if spec.samples < 1:
+        raise SystemExit("need --samples >= 1 for an empirical histogram")
+    if spec.sampler == "qbetabinom":
+        if not 0.0 < spec.q <= 1.0:
+            raise SystemExit("the q-Beta-Binomial sampler needs 0 < q <= 1")
+        if spec.n < 0:
+            raise SystemExit("need --n >= 0 particles on the edge")
+    if spec.sampler in ("qbetabinom", "tilted-beta") and spec.k <= 0:
+        raise SystemExit("need --k > 0")
+    if spec.sampler in ("tilted-beta", "kmp"):
+        if spec.bins < 1:
+            raise SystemExit("need --bins >= 1")
+        if spec.energy <= 0:
+            raise SystemExit("need a positive edge --energy")
+    if spec.sampler == "tilted-beta" and spec.sigma < 0:
+        raise SystemExit("need --sigma >= 0")
+
+
 def cmd_thermalize(spec):
     _require_seed(spec)
+    _check_sampler(spec)
     rng = engine.SeedTree(spec.seed).stream(0)
     lines = ["bin,empirical,exact"]
     if spec.sampler == "qbetabinom":

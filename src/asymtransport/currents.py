@@ -28,7 +28,7 @@ import numpy as np
 from .qcalc import q_number, skellam_pmf, symmetric_walk_pmf
 
 __all__ = [
-    "rate_function", "rate_function_asip", "rate_function_sym",
+    "rate_function", "rate_function_sym",
     "rate_function_legendre", "walker_rates",
     "growth_rate", "growth_rate_discrete", "growth_rate_continuous",
     "q_moment_fixed_config", "q_moment_product", "q_moment_product_series",
@@ -56,13 +56,6 @@ def walker_rates(q, k):
     ``q^2k [2k]`` and ``q^-2k [2k]``."""
     base = q_number(2 * k, q)
     return base * q ** (2 * k), base * q ** (-2 * k)
-
-
-def rate_function_asip(x, q, k):
-    """Rate function of the discrete dual walker; equivalently
-    ``[4k] - sqrt(x^2 + (2 [2k])^2) + x ln((x + sqrt(...)) / (2 [2k] q^2k))``."""
-    a, b = walker_rates(q, k)
-    return rate_function(x, a, b)
 
 
 def rate_function_sym(x, k):

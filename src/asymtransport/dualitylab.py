@@ -87,19 +87,31 @@ def d_asip(eta, xi, params, form="product"):
         acc = 0  # running sum of xi_m over m < i
         for i0, (n, m) in enumerate(zip(eta, xi)):
             i = i0 + 1
-            out *= q_binomial(n, m, q) / q_binomial(m + 2 * k - 1, m, q)
+            out *= _site_ratio(n, m, params, form)
             out *= q ** ((n - m) * (2 * acc + m) - 4.0 * k * i * m)
             acc += m
     elif form == "pochhammer":
         for i0, (n, m) in enumerate(zip(eta, xi)):
             i = i0 + 1
             tail = tail_count(eta, i + 1)
-            out *= q_pochhammer(q ** (2 * (n - m + 1)), q ** 2, m) \
-                / q_pochhammer(q ** (4 * k), q ** 2, m)
+            out *= _site_ratio(n, m, params, form)
             out *= q ** ((m - 4.0 * k * i + 2 * tail) * m)
     else:
         raise ValueError("unknown form %r" % (form,))
     return float(out)
+
+
+def _site_ratio(n, m, params, form):
+    """The q-binomial ("product") or shifted q-product ("pochhammer")
+    ratio that one site with n particles and m dual particles, m <= n,
+    contributes to the kernel.  Callers pass NumPy integers: NumPy
+    raises a float to an integer power by its own algorithm, which can
+    differ from the float power in the last bit."""
+    q, k = params.q, params.k
+    if form == "product":
+        return q_binomial(n, m, q) / q_binomial(m + 2 * k - 1, m, q)
+    return q_pochhammer(q ** (2 * (n - m + 1)), q ** 2, m) \
+        / q_pochhammer(q ** (4 * k), q ** 2, m)
 
 
 def d_sip(eta, xi, k):
@@ -170,11 +182,48 @@ def d_asip_multi(eta, ells, params):
 
 
 def d_asip_matrix(sector_eta, sector_xi, params, form="product"):
-    """Kernel as a dense (len eta-sector, len xi-sector) matrix."""
-    out = np.zeros((len(sector_eta), len(sector_xi)))
-    for a, eta in enumerate(sector_eta.configs):
-        for b, xi in enumerate(sector_xi.configs):
-            out[a, b] = d_asip(eta, xi, params, form=form)
+    """Kernel as a dense (len eta-sector, len xi-sector) matrix, equal
+    entry by entry to ``d_asip``.
+
+    Each entry of ``d_asip`` is a product over sites, in site order, of a
+    ratio that depends on (eta_i, xi_i) only and a power of q.  The ratios
+    come from one table indexed by (eta_i, xi_i), zero where xi_i > eta_i,
+    which gives the kernel its support.  The power of site i depends on
+    the column and on eta_i ("product": the running sum of xi over earlier
+    sites enters) or on the tail count N_(i+1)(eta) ("pochhammer"), and
+    comes from one table per site indexed by that row quantity and the
+    column.  Each site then costs two in-place gather-multiplies.
+    """
+    eta = sector_eta.array()
+    xi = sector_xi.array()
+    if eta.shape[1] != xi.shape[1]:
+        raise ValueError("eta and xi must have the same length")
+    if form not in ("product", "pochhammer"):
+        raise ValueError("unknown form %r" % (form,))
+    q, k = params.q, params.k
+    n_grid, m_grid = np.indices((eta.max() + 1, xi.max() + 1))
+    support = m_grid <= n_grid
+    ratio = np.zeros(support.shape)
+    for n, m in zip(n_grid[support], m_grid[support]):  # NumPy integers
+        ratio[n, m] = _site_ratio(n, m, params, form)
+    if form == "product":
+        row_key = eta
+        acc = np.zeros(len(xi), dtype=int)  # running sum of xi_m over m < i
+    else:
+        row_key = np.cumsum(eta[:, ::-1], axis=1)[:, ::-1] - eta  # N_(i+1)
+    key = np.arange(int(row_key.max()) + 1)[:, None]
+    out = np.ones((len(eta), len(xi)))
+    for i0 in range(eta.shape[1]):
+        i = i0 + 1
+        m = xi[:, i0]
+        out *= ratio[eta[:, i0][:, None], m[None, :]]
+        if form == "product":
+            expo = np.where(key >= m, (key - m) * (2 * acc + m)
+                            - 4.0 * k * i * m, 0.0)
+            acc += m
+        else:
+            expo = (m - 4.0 * k * i + 2 * key) * m
+        out *= qcalc.q_power(q, expo)[row_key[:, i0]]
     return out
 
 

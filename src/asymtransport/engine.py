@@ -266,9 +266,6 @@ class EnsembleResult:
     se: np.ndarray
     replicas: int
 
-    def z_scores(self, reference):
-        return (np.asarray(reference) - self.mean) / self.se
-
 
 def run_ensemble(job, replicas, master_seed, workers=1):
     """Run ``job(rng, replica) -> scalar or vector`` over independent

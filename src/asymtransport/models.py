@@ -1,5 +1,6 @@
-"""Transition rates, generator matrices, diffusion generators, and the
-stationary measures of the discrete and continuous transport models.
+"""Transition rates, generator matrices and diffusion generators of the
+discrete and continuous transport models, and the stationary measures of
+the discrete ones.
 
 Discrete models on a chain of L sites:
 
@@ -18,7 +19,7 @@ the asymmetric energy diffusion (sigma > 0) and its symmetric limit.
 import math
 
 import numpy as np
-from scipy import integrate, sparse, special
+from scipy import integrate, sparse
 
 from . import configspace, qcalc
 from .configspace import ModelParams
@@ -31,7 +32,6 @@ __all__ = [
     "theta_edge", "adep_relax_pair",
     "asip_marginal_pmf", "asip_marginal_Z", "asip_marginal_Z_closed",
     "asip_marginal_mean", "asip_marginal_mean_closed",
-    "abep_marginal_pdf", "abep_marginal_Z",
     "detailed_balance_residual", "alpha_max",
     "ring_product_measure_gap", "qtazrp_limit_gap",
 ]
@@ -56,12 +56,6 @@ class SparseRateMatrix:
 
     def row_sum_residual(self):
         return float(np.abs(self.matrix.sum(axis=1)).max())
-
-    def to_coordinate_text(self):
-        """One `row col value` line per stored entry, for external inspection."""
-        coo = self.matrix.tocoo()
-        return "\n".join("%d %d %.17g" % (r, c, v)
-                         for r, c, v in zip(coo.row, coo.col, coo.data))
 
 
 def asip_edge_rates(eta, i, params):
@@ -361,35 +355,6 @@ def asip_marginal_mean_closed(i, params, alpha):
     base = alpha * q ** (4 * k * i - 2 * k + 1)
     return sum(1.0 / (q ** (-2 * l) / base - 1.0)
                for l in range(int(round(2 * k))))
-
-
-def abep_marginal_Z(i, params, gamma):
-    """Normalization ``(1/2 sigma) B(2ki + gamma/(2 sigma), 2k)`` of the
-    continuous-model marginal at site i; requires gamma > -4 sigma k."""
-    sigma, k = params.sigma, params.k
-    if sigma <= 0:
-        if gamma <= 0:
-            raise ValueError("need gamma > 0 in the symmetric limit")
-        return math.exp(special.gammaln(2 * k) - 2 * k * math.log(gamma))
-    shape = 2 * k * i + gamma / (2.0 * sigma)
-    if shape <= 0:
-        raise ValueError("need gamma > -4 sigma k i")
-    return float(special.beta(shape, 2 * k)) / (2.0 * sigma)
-
-
-def abep_marginal_pdf(i, x, params, gamma):
-    """Density of the site-i marginal of the continuous reversible product
-    measures: ``(1 - e^(-2 sigma x))^(2k-1) e^(-(4 sigma k i + gamma) x) / Z``.
-    The sigma -> 0 limit is a Gamma(2k, gamma) density."""
-    sigma, k = params.sigma, params.k
-    if x < 0:
-        return 0.0
-    if sigma == 0.0:
-        return float(x ** (2 * k - 1) * math.exp(-gamma * x)
-                     / abep_marginal_Z(i, params, gamma))
-    w = (-math.expm1(-2.0 * sigma * x)) ** (2 * k - 1) \
-        * math.exp(-(4 * sigma * k * i + gamma) * x)
-    return w / abep_marginal_Z(i, params, gamma)
 
 
 def detailed_balance_residual(sector, model, params, weight_fn, scale=1e-300):

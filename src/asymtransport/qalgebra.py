@@ -22,24 +22,30 @@ here:
 All operators are dense matrices on the truncated occupation basis
 ``{0, ..., n_max}`` per site; identities are exact on any particle-number
 sector whose total fits strictly inside the truncation.
+
+The explicit operators of steps 3 and 4 factor over sites: each element
+is a product, in site order, of per-site factors looked up in small
+tables.  Viewing a matrix as (sites before i, site i, sites after i)
+makes each factor one in-place broadcast multiply, and keeping the
+formulas' order of products fixes every bit of the result.  Nothing here
+uses ``dualitylab``'s kernel code, so comparing the two is a genuine
+re-derivation.
 """
 
-import itertools
 import math
 
 import numpy as np
 
-from . import dualitylab, models, qcalc
-from .configspace import ModelParams
-from .qcalc import curly_q_factorial, q_binomial, q_number
+from . import qcalc
+from .qcalc import q_binomial, q_number
 
 __all__ = [
     "site_operators", "casimir_matrix", "commutator",
     "delta_casimir_pair", "hamiltonian_constant", "build_hamiltonian",
     "embed", "coproduct_symmetries", "basis_index", "basis_config",
-    "sector_indices", "splus_closed_form", "splus_from_qexp",
-    "ground_state_vector", "derive_generator", "derive_duality",
-    "symmetry_residual", "pseudo_factorization_residual",
+    "basis_occupations", "sector_indices", "splus_closed_form",
+    "splus_from_qexp", "ground_state_vector", "derive_generator",
+    "derive_duality", "pseudo_factorization_residual",
 ]
 
 
@@ -246,9 +252,19 @@ def basis_config(idx, L, n_max):
     return np.array(out[::-1], dtype=int)
 
 
+def basis_occupations(L, n_max):
+    """``(d**L, L)`` array whose row ``idx`` is ``basis_config(idx, L,
+    n_max)``, with d = n_max + 1."""
+    d = n_max + 1
+    return np.indices((d,) * L).reshape(L, -1).T
+
+
 def sector_indices(sector, n_max):
     """Tensor-basis indices of all configurations of a sector."""
-    return np.array([basis_index(c, n_max) for c in sector.configs])
+    configs = sector.array()
+    if configs.max() > n_max:
+        raise ValueError("occupation outside the truncated basis")
+    return configs @ (n_max + 1) ** np.arange(sector.L - 1, -1, -1)
 
 
 def matrix_q_exp(X, r):
@@ -282,46 +298,55 @@ def splus_closed_form(L, k, q, n_max):
     q^((eta_i - xi_i)(1 + k + xi_i + 2 sum_(m<i) (xi_m + k)))``
     supported on eta >= xi sitewise.  Both binomials are written with the
     integer lower index eta_i - xi_i so that non-integer 2k is allowed.
+
+    Each element is a product of two factors per site, taken in site
+    order.  The root factor depends on (eta_i, xi_i) only and comes from
+    one (n_max+1)^2 table shared by all sites; the power factor of site i
+    also depends on the running sum over the column's earlier sites and
+    comes from an (n_max+1, (n_max+1)^L) table indexed by (eta_i,
+    column).  With the matrix viewed as (sites before i, site i, sites
+    after i) along both axes, each factor is one in-place broadcast
+    multiply.
     """
     d = n_max + 1
     dim = d ** L
-    out = np.zeros((dim, dim))
-    for col in range(dim):
-        xi = basis_config(col, L, n_max)
-        _fill_splus_column(out, col, xi, L, k, q, n_max)
-    return out
-
-
-def _fill_splus_column(out, col, xi, L, k, q, n_max):
-    # iterate over all eta >= xi within the truncation
-    ranges = [range(int(x), n_max + 1) for x in xi]
-    for eta in itertools.product(*ranges):
-        val = 1.0
-        acc = 0.0  # sum of (xi_m + k) over m < i
-        for i0 in range(L):
-            e, x = eta[i0], int(xi[i0])
+    xi = basis_occupations(L, n_max)
+    eta_i = np.arange(d)[:, None]
+    root = np.zeros((d, d))
+    for e in range(d):
+        for x in range(e + 1):
             l = e - x
-            val *= math.sqrt(q_binomial(e, l, q)
-                             * q_binomial(e + 2 * k - 1, l, q))
-            val *= q ** (l * (1 + k + x + 2 * acc))
-            acc += x + k
-        out[basis_index(eta, n_max), col] = val
+            root[e, x] = math.sqrt(q_binomial(e, l, q)
+                                   * q_binomial(e + 2 * k - 1, l, q))
+    out = np.ones((dim, dim))
+    acc = np.zeros(dim)  # sum of (xi_m + k) over m < i, per column
+    for i0 in range(L):
+        x = xi[:, i0]
+        l = eta_i - x
+        power = qcalc.q_power(
+            q, np.where(l >= 0, l * (1 + k + x + 2 * acc), 0.0))
+        before, after = d ** i0, d ** (L - i0 - 1)
+        sites = out.reshape(before, d, after, before, d, after)
+        sites *= root[:, None, None, :, None]
+        rows = out.reshape(before, d, after, dim)
+        rows *= power[:, None, :]
+        acc += x + k
+    return out
 
 
 def ground_state_vector(L, k, q, n_max):
     """Strictly positive ground state: the exponential symmetry applied to
     the all-empty state, ``g(eta) = prod_i sqrt(binom(eta_i + 2k - 1,
-    eta_i)_q) q^(eta_i (1 - k + 2 k i))``."""
+    eta_i)_q) q^(eta_i (1 - k + 2 k i))``; each site multiplies in one
+    entry of its (n_max+1)-table."""
     d = n_max + 1
-    g = np.zeros(d ** L)
-    for idx in range(d ** L):
-        eta = basis_config(idx, L, n_max)
-        val = 1.0
-        for i0, e in enumerate(eta):
-            i = i0 + 1
-            val *= math.sqrt(q_binomial(e + 2 * k - 1, e, q)) \
-                * q ** (e * (1.0 - k + 2.0 * k * i))
-        g[idx] = val
+    g = np.ones(d ** L)
+    for i in range(1, L + 1):
+        factor = np.array([math.sqrt(q_binomial(e + 2 * k - 1, e, q))
+                           * q ** (e * (1.0 - k + 2.0 * k * i))
+                           for e in range(d)])
+        sites = g.reshape(d ** (i - 1), d, d ** (L - i))
+        sites *= factor[:, None]
     return g
 
 
@@ -342,24 +367,18 @@ def derive_duality(L, k, q, n_max):
     particle number, so the conjugation is itself a duality function on
     every sector pair); returns the normalized matrix
     ``D(eta, xi) = <eta|G^-1 S+ G^-1|xi> q^(-2 (k - 1) |xi|)``.
+
+    Both conjugations and the constant, one power of q per dual particle
+    number, act in place on S+ as row and column factors.
     """
-    S = splus_closed_form(L, k, q, n_max)
+    D = splus_closed_form(L, k, q, n_max)
     g = ground_state_vector(L, k, q, n_max)
-    raw = (S / g[:, None]) / g[None, :]
-    d = n_max + 1
-    D = np.zeros_like(raw)
-    for col in range(d ** L):
-        n_xi = int(basis_config(col, L, n_max).sum())
-        D[:, col] = raw[:, col] * q ** (-2.0 * (k - 1.0) * n_xi)
+    D /= g[:, None]
+    D /= g[None, :]
+    constant = np.array([q ** (-2.0 * (k - 1.0) * n)
+                         for n in range(L * n_max + 1)])
+    D *= constant[basis_occupations(L, n_max).sum(axis=1)][None, :]
     return D
-
-
-def symmetry_residual(H, S):
-    """Relative commutation residual ``|[H, S]| / max(1, |H S|, |S H|)``."""
-    a = H @ S
-    b = S @ H
-    scale = max(1.0, float(np.abs(a).max()), float(np.abs(b).max()))
-    return float(np.abs(a - b).max()) / scale
 
 
 def sector_symmetry_residual(H, S, L, n_max, n_total_max):
@@ -369,9 +388,7 @@ def sector_symmetry_residual(H, S, L, n_max, n_total_max):
     operator maps total n to n + 1, so use n_total_max <= n_max - 1)."""
     comm = H @ S - S @ H
     scale = max(1.0, float(np.abs(H @ S).max()))
-    d = n_max + 1
-    keep = np.array([basis_config(i, L, n_max).sum() <= n_total_max
-                     for i in range(d ** L)])
+    keep = basis_occupations(L, n_max).sum(axis=1) <= n_total_max
     return float(np.abs(comm[np.ix_(keep, keep)]).max()) / scale
 
 

@@ -17,8 +17,8 @@ import numpy as np
 from scipy import special
 
 __all__ = [
-    "check_q", "q_number", "q_factorial", "q_binomial", "q_pochhammer",
-    "curly_q_number", "curly_q_factorial", "q_exp",
+    "check_q", "q_number", "q_power", "q_factorial", "q_binomial",
+    "q_pochhammer", "curly_q_number", "q_exp",
     "bessel_i", "log_bessel_i", "skellam_pmf", "symmetric_walk_pmf",
 ]
 
@@ -51,6 +51,18 @@ def q_number(n, q):
     if q == 1.0:
         return float(n)
     return (q ** n - q ** (-n)) / (q - 1.0 / q)
+
+
+def q_power(q, exponents):
+    """``q ** e`` for every entry of ``exponents``, as a float array of the
+    same shape.
+
+    Each entry is the scalar float power, so a table built here matches
+    scalar code bit for bit; NumPy's array ``power`` can differ from it in
+    the last bit.
+    """
+    e = np.asarray(exponents, dtype=float)
+    return np.array([q ** v for v in e.ravel().tolist()]).reshape(e.shape)
 
 
 def q_factorial(n, q):
@@ -107,13 +119,6 @@ def curly_q_number(n, r):
     if r == 1.0:
         return float(n)
     return (1.0 - r ** n) / (1.0 - r)
-
-
-def curly_q_factorial(n, r):
-    out = 1.0
-    for j in range(1, int(n) + 1):
-        out *= curly_q_number(j, r)
-    return out
 
 
 def q_exp(x, r, n_max=200, tol=1e-14):

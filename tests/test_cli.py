@@ -252,6 +252,38 @@ def test_current_bad_monte_carlo_input_rejected(tmp_path, formula, bad):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["thermalize", "--sampler", "kmp", "--samples", "0"],
+    ["thermalize", "--sampler", "qbetabinom", "--samples", "-5"],
+    ["thermalize", "--sampler", "qbetabinom", "--q", "1.5"],
+    ["thermalize", "--sampler", "qbetabinom", "--q", "0"],
+    ["thermalize", "--sampler", "qbetabinom", "--n", "-1"],
+    ["thermalize", "--sampler", "qbetabinom", "--k", "0"],
+    ["thermalize", "--sampler", "tilted-beta", "--k", "-1"],
+    ["thermalize", "--sampler", "tilted-beta", "--sigma", "-1"],
+    ["thermalize", "--sampler", "kmp", "--energy", "0"],
+    ["thermalize", "--sampler", "kmp", "--bins", "0"],
+    ["simulate", "--model", "asip", "--t", "1", "--replicas", "0"],
+    ["simulate", "--model", "asip", "--t", "1", "--replicas", "-3"],
+])
+def test_bad_sampler_and_simulate_input_rejected(tmp_path, argv):
+    out = tmp_path / "out.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--seed", "1", "--out", str(out)])
+    assert isinstance(exc.value.code, str)
+    assert not out.exists()
+
+
+def test_verify_all_matches_golden_file(tmp_path):
+    # the printed residuals of the re-derivation checks would show any
+    # change in the last bits of the exact kernels
+    out = tmp_path / "rep.txt"
+    code = main(["verify", "--suite", "all", "--q", "0.85", "--k", "1.0",
+                 "--out", str(out)])
+    assert code == 0
+    assert _read(out) == _read(os.path.join(DATA, "verify_all_golden.txt"))
+
+
 def test_unknown_sampler_rejected():
     with pytest.raises(SystemExit):
         cli.cmd_thermalize(ExperimentSpec(command="thermalize",

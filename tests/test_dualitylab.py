@@ -7,7 +7,8 @@ import pytest
 from asymtransport import configspace as cs
 from asymtransport import dualitylab as dl
 from asymtransport import engine, models
-from asymtransport.configspace import ModelParams
+from asymtransport.configspace import ModelParams, tail_count
+from asymtransport.qcalc import q_binomial, q_pochhammer
 
 P = ModelParams(q=0.8, k=0.5, sigma=0.5, L=3)
 
@@ -141,3 +142,73 @@ def test_check_report_formatting():
                          threshold=1e-5)
     assert not rep.passed
     assert "FAIL" in str(rep)
+
+
+# Reference: the per-entry double loop that built the kernel matrix before
+# the per-site tables, with the scalar kernel as it was written then.  The
+# tables form the same products in the same order, so they must agree bit
+# for bit.
+
+def _ref_d_asip(eta, xi, params, form):
+    eta = np.asarray(eta, dtype=int)
+    xi = np.asarray(xi, dtype=int)
+    if (xi > eta).any():
+        return 0.0
+    q, k = params.q, params.k
+    out = 1.0
+    if form == "product":
+        acc = 0
+        for i0, (n, m) in enumerate(zip(eta, xi)):
+            i = i0 + 1
+            out *= q_binomial(n, m, q) / q_binomial(m + 2 * k - 1, m, q)
+            out *= q ** ((n - m) * (2 * acc + m) - 4.0 * k * i * m)
+            acc += m
+    else:
+        for i0, (n, m) in enumerate(zip(eta, xi)):
+            i = i0 + 1
+            tail = tail_count(eta, i + 1)
+            out *= q_pochhammer(q ** (2 * (n - m + 1)), q ** 2, m) \
+                / q_pochhammer(q ** (4 * k), q ** 2, m)
+            out *= q ** ((m - 4.0 * k * i + 2 * tail) * m)
+    return float(out)
+
+
+def _ref_d_asip_matrix(sector_eta, sector_xi, params, form):
+    out = np.zeros((len(sector_eta), len(sector_xi)))
+    for a, eta in enumerate(sector_eta.configs):
+        for b, xi in enumerate(sector_xi.configs):
+            out[a, b] = _ref_d_asip(eta, xi, params, form)
+    return out
+
+
+# (L, n_eta, n_xi); n_xi = 0 gives a row of ones per config, n_xi > n_eta
+# an all-zero block
+SECTOR_PAIRS = [(2, 5, 3), (2, 2, 4), (3, 4, 0), (3, 3, 3), (3, 0, 0),
+                (4, 4, 2), (4, 3, 5), (5, 5, 3), (5, 2, 0), (5, 1, 2)]
+
+
+# A float raised to a NumPy integer and to a Python int can differ in the
+# last bit, and only at some (q, k); hence the full grid.
+@pytest.mark.parametrize("form", ["product", "pochhammer"])
+@pytest.mark.parametrize("k", [0.3, 0.5, 0.85, 1.0, 1.5, 2.0])
+@pytest.mark.parametrize("q", [0.6, 0.7, 0.8, 0.85, 0.9, 0.95])
+def test_kernel_matrix_matches_per_entry_loop_bit_for_bit(q, k, form):
+    for L, n_eta, n_xi in SECTOR_PAIRS:
+        s_eta = cs.enumerate_sector(L, n_eta)
+        s_xi = cs.enumerate_sector(L, n_xi)
+        p = ModelParams(q=q, k=k, L=L)
+        D = dl.d_asip_matrix(s_eta, s_xi, p, form=form)
+        ref = _ref_d_asip_matrix(s_eta, s_xi, p, form)
+        assert np.array_equal(D, ref), (L, n_eta, n_xi)
+        if n_xi > n_eta:
+            assert not D.any()
+
+
+def test_kernel_matrix_rejects_mismatched_lengths_and_forms():
+    p = ModelParams(q=0.8, k=0.5, L=3)
+    with pytest.raises(ValueError):
+        dl.d_asip_matrix(cs.enumerate_sector(3, 2), cs.enumerate_sector(2, 1),
+                         p)
+    with pytest.raises(ValueError):
+        dl.d_asip_matrix(cs.enumerate_sector(3, 2), cs.enumerate_sector(3, 1),
+                         p, form="nope")

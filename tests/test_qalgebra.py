@@ -1,6 +1,9 @@
 """The deformed ladder-operator construction: commutation relations,
 conserved quantities, and the re-derivation of rates and duality kernel."""
 
+import itertools
+import math
+
 import numpy as np
 import pytest
 
@@ -8,7 +11,7 @@ from asymtransport import configspace as cs
 from asymtransport import dualitylab as dl
 from asymtransport import models, qalgebra as qa
 from asymtransport.configspace import ModelParams
-from asymtransport.qcalc import q_number
+from asymtransport.qcalc import q_binomial, q_number
 
 Q, K, NMAX = 0.7, 0.85, 6
 
@@ -125,3 +128,88 @@ def test_matrix_q_exp_scalar_case():
     X = np.array([[0.0, 0.0], [2.0, 0.0]])
     out = qa.matrix_q_exp(X, 0.49)
     assert np.allclose(out, np.eye(2) + X)
+
+
+# Reference: the per-entry loops that built the exponential symmetry, the
+# ground state and the derived kernel before the per-site tables.  The
+# tables form the same products in the same order, so they must agree
+# bit for bit, not merely to rounding.
+
+def _ref_splus_closed_form(L, k, q, n_max):
+    d = n_max + 1
+    out = np.zeros((d ** L, d ** L))
+    for col in range(d ** L):
+        xi = qa.basis_config(col, L, n_max)
+        ranges = [range(int(x), n_max + 1) for x in xi]
+        for eta in itertools.product(*ranges):
+            val = 1.0
+            acc = 0.0
+            for i0 in range(L):
+                e, x = eta[i0], int(xi[i0])
+                l = e - x
+                val *= math.sqrt(q_binomial(e, l, q)
+                                 * q_binomial(e + 2 * k - 1, l, q))
+                val *= q ** (l * (1 + k + x + 2 * acc))
+                acc += x + k
+            out[qa.basis_index(eta, n_max), col] = val
+    return out
+
+
+def _ref_ground_state_vector(L, k, q, n_max):
+    d = n_max + 1
+    g = np.zeros(d ** L)
+    for idx in range(d ** L):
+        eta = qa.basis_config(idx, L, n_max)
+        val = 1.0
+        for i0, e in enumerate(eta):
+            i = i0 + 1
+            val *= math.sqrt(q_binomial(e + 2 * k - 1, e, q)) \
+                * q ** (e * (1.0 - k + 2.0 * k * i))
+        g[idx] = val
+    return g
+
+
+def _ref_derive_duality(L, k, q, n_max):
+    S = _ref_splus_closed_form(L, k, q, n_max)
+    g = _ref_ground_state_vector(L, k, q, n_max)
+    raw = (S / g[:, None]) / g[None, :]
+    D = np.zeros_like(raw)
+    for col in range((n_max + 1) ** L):
+        n_xi = int(qa.basis_config(col, L, n_max).sum())
+        D[:, col] = raw[:, col] * q ** (-2.0 * (k - 1.0) * n_xi)
+    return D
+
+
+QK_GRID = [(0.85, 1.0), (0.8, 0.5), (0.9, 1.5), (0.95, 2.0), (0.7, 0.85),
+           (0.6, 0.3)]
+SHAPES = [(2, 6), (3, 4), (4, 3), (5, 2)]
+
+
+@pytest.mark.parametrize("q,k", QK_GRID)
+def test_site_tables_match_per_entry_loops_bit_for_bit(q, k):
+    for L, n_max in SHAPES:
+        S = _ref_splus_closed_form(L, k, q, n_max)
+        g = _ref_ground_state_vector(L, k, q, n_max)
+        assert np.array_equal(qa.splus_closed_form(L, k, q, n_max), S)
+        assert np.array_equal(qa.ground_state_vector(L, k, q, n_max), g)
+        assert np.array_equal(qa.derive_duality(L, k, q, n_max),
+                              _ref_derive_duality(L, k, q, n_max))
+
+
+def test_derive_duality_bit_for_bit_at_benchmark_size():
+    L, n_max, q, k = 4, 4, 0.85, 1.0
+    assert np.array_equal(qa.derive_duality(L, k, q, n_max),
+                          _ref_derive_duality(L, k, q, n_max))
+
+
+def test_basis_occupations_and_sector_indices():
+    L, n_max = 3, 4
+    occ = qa.basis_occupations(L, n_max)
+    for idx in range((n_max + 1) ** L):
+        assert np.array_equal(occ[idx], qa.basis_config(idx, L, n_max))
+    for n in range(n_max + 1):
+        sec = cs.enumerate_sector(L, n)
+        assert qa.sector_indices(sec, n_max).tolist() == [
+            qa.basis_index(c, n_max) for c in sec.configs]
+    with pytest.raises(ValueError):
+        qa.sector_indices(cs.enumerate_sector(L, n_max + 1), n_max)
