@@ -349,6 +349,12 @@ _SUITE_FNS = {
 
 def run_suite(suite, spec):
     """Run one verification suite; returns the list of check reports."""
+    # the ASIP generators of the duality suite are singular at q = 1
+    top = "< 1" if suite == "duality" else "<= 1"
+    for q in (spec.q, spec.q + spec.perturb_q):
+        if not (0.0 < q < 1.0 or (q == 1.0 and suite != "duality")):
+            raise SystemExit("the %s suite needs 0 < q %s and "
+                             "0 < q + --perturb-q %s" % (suite, top, top))
     p = ModelParams(q=spec.q, k=spec.k, sigma=spec.sigma)
     p_bad = ModelParams(q=spec.q + spec.perturb_q, k=spec.k,
                         sigma=spec.sigma)
@@ -490,6 +496,8 @@ def cmd_rate(spec):
     if spec.points < 1:
         raise SystemExit("need a nonempty grid (points >= 1)")
     if spec.model == "asip":
+        if not 0.0 < spec.q <= 1.0:
+            raise SystemExit("the asip rate function needs 0 < q <= 1")
         a, b = currents.walker_rates(spec.q, spec.k)
         mu = [1.0 - spec.bernoulli, spec.bernoulli]
         _, lam_inv = currents.marginal_q_factors(mu, spec.q)
@@ -530,8 +538,10 @@ def _check_sampler(spec):
             raise SystemExit("need --bins >= 1")
         if spec.energy <= 0:
             raise SystemExit("need a positive edge --energy")
-    if spec.sampler == "tilted-beta" and spec.sigma < 0:
-        raise SystemExit("need --sigma >= 0")
+    if spec.sampler == "tilted-beta" and not (
+            0.0 <= 2.0 * spec.sigma * spec.energy <= thermal.MAX_TILT):
+        raise SystemExit("need --sigma >= 0 and 2 * --sigma * --energy <= "
+                         "%.6g" % thermal.MAX_TILT)
 
 
 def cmd_thermalize(spec):
@@ -554,15 +564,11 @@ def cmd_thermalize(spec):
                                            size=spec.samples)
         edges = np.linspace(0.0, 1.0, spec.bins + 1)
         counts, _ = np.histogram(draws, bins=edges)
-        from scipy import integrate
+        mass = np.diff(thermal.tilted_beta_cdf(edges, spec.energy, sigma, k))
         for j in range(spec.bins):
-            mass, _ = integrate.quad(
-                lambda w: thermal.tilted_beta_pdf(w, spec.energy, sigma, k),
-                edges[j], edges[j + 1], epsabs=1e-12, epsrel=1e-10,
-                limit=200)
             lines.append("%s,%s,%s" % (
                 _fmt(0.5 * (edges[j] + edges[j + 1])),
-                _fmt(counts[j] / spec.samples), _fmt(mass)))
+                _fmt(counts[j] / spec.samples), _fmt(mass[j])))
     else:
         raise SystemExit("unknown sampler %r" % spec.sampler)
     _emit(spec.out, lines)

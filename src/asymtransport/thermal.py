@@ -7,23 +7,25 @@ law conditioned on the edge total:
 * discrete, asymmetric: a q-deformed Beta-Binomial split;
 * discrete, symmetric: a Beta-Binomial(n_tot, 2k, 2k) split;
 * continuous, asymmetric: an exponentially tilted Beta split of the edge
-  energy; at k = 1/2 and vanishing tilt this is the classical uniform
-  energy redistribution model.
+  energy, exact in closed form: with a = 2 sigma E the kept fraction w has
+  v = (e^(a w) - 1) / (e^a - 1) ~ Beta(2k, 2k); at k = 1/2 and vanishing
+  tilt this is the classical uniform energy redistribution model.
 
 Each edge carries an exponential rate-1 clock.
 """
 
 import math
+import sys
 
 import numpy as np
-from scipy import integrate, stats
+from scipy import integrate, special, stats
 
 from .qcalc import q_binomial
 from . import models
 
 __all__ = [
     "qbetabinom_weights", "qbetabinom_pmf", "sample_qbetabinom",
-    "betabinom_pmf", "tilted_beta_pdf", "tilted_beta_mean",
+    "betabinom_pmf", "tilted_beta_pdf", "tilted_beta_cdf", "tilted_beta_mean",
     "sample_tilted_beta", "th_asip_generator", "th_sip_generator",
     "th_abep_step", "akmp_step", "simulate_thermal_continuous",
 ]
@@ -68,41 +70,48 @@ def betabinom_pmf(r, n_tot, k):
 
 
 _TILT_SMALL = 1e-8
-_norm_cache = {}
-_cdf_cache = {}
+# largest tilt a = 2 sigma E for which e^a is a finite float
+MAX_TILT = math.log(sys.float_info.max)
 
 
-def _tilted_beta_unnorm(w, a, k):
-    """Unnormalized density on [0,1] with tilt a = 2 sigma E."""
-    w = np.asarray(w, dtype=float)
-    core = np.expm1(a * w) * (-np.expm1(-a * (1.0 - w)))
-    with np.errstate(invalid="ignore", divide="ignore"):
-        out = np.exp(a * w) * np.where(core > 0, core, 0.0) ** (2 * k - 1)
-    return np.where((w < 0) | (w > 1), 0.0, np.nan_to_num(out))
+def _tilt(E, sigma):
+    if E <= 0:
+        raise ValueError("edge energy must be > 0")
+    a = 2.0 * sigma * E
+    if a > MAX_TILT:
+        raise ValueError("tilt 2 sigma E = %r overflows e^a" % a)
+    return a
+
+
+def _beta_coordinate(w, a):
+    """v(w) = (e^(a w) - 1) / (e^a - 1), 1 - v(w) and dv/dw: the change of
+    variable that carries the tilted split law to Beta(2k, 2k)."""
+    if a < _TILT_SMALL:
+        return w, 1.0 - w, 1.0
+    return (np.expm1(a * w) / math.expm1(a),
+            np.expm1(-a * (1.0 - w)) / math.expm1(-a),
+            a * np.exp(-a * (1.0 - w)) / -math.expm1(-a))
 
 
 def tilted_beta_pdf(w, E, sigma, k):
     """Density of the energy fraction kept by the left site after a
-    thermalized edge update of total energy E.
+    thermalized edge update of total energy E: the Beta(2k, 2k) density at
+    v(w) times ``dv/dw = a e^(a w) / (e^a - 1)``, tilt a = 2 sigma E."""
+    a = _tilt(E, sigma)
+    if not 0.0 <= w <= 1.0:
+        return 0.0
+    v, v_bar, dv_dw = _beta_coordinate(w, a)
+    with np.errstate(divide="ignore"):
+        v_density = np.power(v * v_bar, 2 * k - 1) / special.beta(2 * k, 2 * k)
+    return float(v_density * dv_dw)
 
-    The tilt parameter is ``2 sigma E``; as it vanishes the law becomes
-    Beta(2k, 2k), and at k = 1/2 the closed form
-    ``2 sigma E e^(2 sigma E w) / (e^(2 sigma E) - 1)`` holds.
-    """
-    if E <= 0:
-        raise ValueError("edge energy must be > 0")
-    a = 2.0 * sigma * E
-    if a < _TILT_SMALL:
-        return float(stats.beta.pdf(w, 2 * k, 2 * k))
-    if abs(k - 0.5) < 1e-14:
-        return float(a * math.exp(a * np.clip(w, 0, 1)) / math.expm1(a)) \
-            if 0 <= w <= 1 else 0.0
-    key = (a, float(k))
-    if key not in _norm_cache:
-        val, _ = integrate.quad(lambda u: float(_tilted_beta_unnorm(u, a, k)),
-                                0.0, 1.0, epsabs=1e-12, epsrel=1e-10, limit=200)
-        _norm_cache[key] = val
-    return float(_tilted_beta_unnorm(w, a, k)) / _norm_cache[key]
+
+def tilted_beta_cdf(w, E, sigma, k):
+    """Distribution function of the tilted split law: the regularized
+    incomplete Beta function I_v(2k, 2k) at v(w); w may be an array."""
+    a = _tilt(E, sigma)
+    v, _, _ = _beta_coordinate(np.clip(w, 0.0, 1.0), a)
+    return special.betainc(2 * k, 2 * k, v)
 
 
 def tilted_beta_mean(E, sigma, k):
@@ -112,37 +121,21 @@ def tilted_beta_mean(E, sigma, k):
     return val
 
 
-def _tabulated_inverse_cdf(a, k, n_grid=4097):
-    key = (a, float(k), n_grid)
-    if key not in _cdf_cache:
-        grid = np.linspace(0.0, 1.0, n_grid)
-        pdf = _tilted_beta_unnorm(grid, a, k)
-        cdf = np.concatenate([[0.0], np.cumsum((pdf[1:] + pdf[:-1]) * 0.5)])
-        cdf /= cdf[-1]
-        _cdf_cache[key] = (grid, cdf)
-    return _cdf_cache[key]
-
-
 def sample_tilted_beta(E, sigma, k, rng, size=None):
-    """Sample the tilted split law.
+    """Sample the tilted split law exactly from one uniform per draw.
 
-    k = 1/2 uses the exact closed-form inverse CDF
-    ``w = ln(1 + u (e^a - 1)) / a``; other k use a deterministic tabulated
-    inverse CDF so that results depend only on the stream state.
+    ``v = I^(-1)(2k, 2k; u)`` is a Beta(2k, 2k) draw (v = u at k = 1/2) and
+    ``w = ln(1 + v (e^a - 1)) / a`` pushes it forward to the tilted law, so
+    each draw depends only on the stream state.  w is capped at 1: v = 1 (u
+    near 1, 2k < 1) can round it one ulp above.
     """
-    if E <= 0:
-        raise ValueError("edge energy must be > 0")
-    a = 2.0 * sigma * E
+    a = _tilt(E, sigma)
     u = rng.random(size)
-    if a < _TILT_SMALL:
-        return stats.beta.ppf(u, 2 * k, 2 * k) if size is not None \
-            else float(stats.beta.ppf(u, 2 * k, 2 * k))
-    if abs(k - 0.5) < 1e-14:
-        w = np.log1p(u * math.expm1(a)) / a
-        return float(w) if size is None else w
-    grid, cdf = _tabulated_inverse_cdf(a, k)
-    w = np.interp(u, cdf, grid)
-    return float(w) if size is None else w
+    v = u if abs(k - 0.5) < 1e-14 else special.betaincinv(2 * k, 2 * k, u)
+    w = v if a < _TILT_SMALL else np.log1p(v * math.expm1(a)) / a
+    if size is None:
+        return float(w) if w <= 1.0 else 1.0
+    return np.minimum(w, 1.0)
 
 
 def th_asip_generator(sector, params):

@@ -263,6 +263,16 @@ def test_current_bad_monte_carlo_input_rejected(tmp_path, formula, bad):
     ["thermalize", "--sampler", "tilted-beta", "--sigma", "-1"],
     ["thermalize", "--sampler", "kmp", "--energy", "0"],
     ["thermalize", "--sampler", "kmp", "--bins", "0"],
+    ["thermalize", "--sampler", "tilted-beta", "--k", "0.75", "--sigma", "1",
+     "--energy", "1000", "--samples", "100", "--bins", "4"],
+    ["thermalize", "--sampler", "tilted-beta", "--k", "0.5", "--sigma", "1",
+     "--energy", "1000", "--samples", "100", "--bins", "4"],
+    ["verify", "--q", "1.5"],
+    ["verify", "--suite", "duality", "--q", "1.0"],
+    ["verify", "--suite", "thermal", "--q", "0.8", "--perturb-q", "0.5"],
+    ["verify", "--suite", "limits", "--q", "0.8", "--perturb-q", "-0.9"],
+    ["rate", "--model", "asip", "--q", "1.5", "--k", "0.5"],
+    ["rate", "--model", "asip", "--q", "0", "--k", "0.5"],
     ["simulate", "--model", "asip", "--t", "1", "--replicas", "0"],
     ["simulate", "--model", "asip", "--t", "1", "--replicas", "-3"],
 ])
@@ -272,6 +282,48 @@ def test_bad_sampler_and_simulate_input_rejected(tmp_path, argv):
         main(argv + ["--seed", "1", "--out", str(out)])
     assert isinstance(exc.value.code, str)
     assert not out.exists()
+
+
+@pytest.mark.parametrize("k", ["0.5", "0.75"])
+def test_largest_tilts_put_their_mass_in_the_last_bin(tmp_path, k):
+    # a = 2 sigma E = 600: the split keeps nearly all energy on the left
+    out = tmp_path / "tb.csv"
+    code = main(["thermalize", "--sampler", "tilted-beta", "--k", k,
+                 "--sigma", "1", "--energy", "300", "--samples", "100",
+                 "--bins", "4", "--seed", "1", "--out", str(out)])
+    assert code == 0
+    rows = [list(map(float, line.split(",")))
+            for line in _read(out).decode().splitlines()[1:]]
+    assert [emp for _, emp, _ in rows] == [0.0, 0.0, 0.0, 1.0]
+    assert rows[-1][2] == pytest.approx(1.0, abs=1e-15)
+    assert sum(exact for _, _, exact in rows[:-1]) < 1e-60
+
+
+# Histograms written by the quadrature-binned sampler diagnostics that the
+# closed-form distribution function replaced: draws are bit-identical, the
+# exact bin masses move only in their last bits.
+THERMALIZE_GOLDEN = [
+    ("thermalize_kmp_golden.csv", ["--sampler", "kmp"]),
+    ("thermalize_tb05_golden.csv",
+     ["--sampler", "tilted-beta", "--k", "0.5", "--sigma", "0.5",
+      "--energy", "1.3"]),
+]
+
+
+@pytest.mark.parametrize("golden,args", THERMALIZE_GOLDEN)
+def test_thermalize_matches_golden_file(tmp_path, golden, args):
+    out = tmp_path / "th.csv"
+    assert main(["thermalize", "--energy", "1.0", "--bins", "10",
+                 "--samples", "1000", "--seed", "4"] + args
+                + ["--out", str(out)]) == 0
+    got = _read(out).decode().splitlines()
+    ref = _read(os.path.join(DATA, golden)).decode().splitlines()
+    assert got[0] == ref[0] and len(got) == len(ref)
+    for row, ref_row in zip(got[1:], ref[1:]):
+        *head, exact = row.split(",")
+        *ref_head, ref_exact = ref_row.split(",")
+        assert head == ref_head
+        assert abs(float(exact) - float(ref_exact)) < 1e-14
 
 
 def test_verify_all_matches_golden_file(tmp_path):

@@ -10,7 +10,8 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 @pytest.mark.parametrize("script", ["algebra_construction.py",
-                                    "duality_check.py"])
+                                    "duality_check.py", "thermalization.py",
+                                    "rate_function.py", "current_moments.py"])
 def test_demo_runs(script):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(

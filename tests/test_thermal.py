@@ -161,3 +161,130 @@ def test_simulate_thermal_continuous_conserves_total():
     assert x.sum() == pytest.approx(x0.sum(), abs=1e-10)
     assert (x >= 0).all()
     assert all(0.0 <= w <= 1.0 for _, _, w in events)
+
+
+# ------------------------------------------------ exact tilted-Beta sampler
+
+def _table_era_unnorm(w, a, k):
+    """Unnormalized tilted split density as the quadrature-normalized
+    sampler evaluated it; the reference for the closed form."""
+    w = np.asarray(w, dtype=float)
+    core = np.expm1(a * w) * (-np.expm1(-a * (1.0 - w)))
+    with np.errstate(invalid="ignore", divide="ignore"):
+        out = np.exp(a * w) * np.where(core > 0, core, 0.0) ** (2 * k - 1)
+    return np.where((w < 0) | (w > 1), 0.0, np.nan_to_num(out))
+
+
+def test_half_k_and_untilted_draws_bit_identical_to_closed_forms():
+    # k = 1/2 keeps w = log1p(u expm1(a)) / a and a vanishing tilt keeps
+    # the Beta(2k, 2k) quantile, on the same uniforms, array and scalar
+    for E, sigma, k in ((2.0, 1.0, 0.5), (0.3, 0.7, 0.5), (1.7, 0.0, 0.5),
+                        (1.7, 0.0, 0.3), (1.2, 0.0, 0.75), (2.0, 1e-9, 1.5),
+                        (1.0, 0.0, 2.3)):
+        a = 2.0 * sigma * E
+        seed = 40
+        u = engine.SeedTree(seed).stream(0).random(5000)
+        if a < 1e-8:
+            ref = stats.beta.ppf(u, 2 * k, 2 * k)
+        else:
+            ref = np.log1p(u * math.expm1(a)) / a
+        got = thermal.sample_tilted_beta(
+            E, sigma, k, engine.SeedTree(seed).stream(0), size=5000)
+        assert np.array_equal(got, ref)
+        rng = engine.SeedTree(seed).stream(0)
+        scalars = [thermal.sample_tilted_beta(E, sigma, k, rng)
+                   for _ in range(50)]
+        assert scalars == ref[:50].tolist()
+
+
+@pytest.mark.parametrize("k", [0.3, 0.5, 0.75, 1.5, 2.3])
+def test_closed_form_pdf_matches_quadrature_normalized_density(k):
+    grid = np.linspace(0.005, 0.995, 41)
+    for a in (0.01, 0.1, 1.0, 5.0, 20.0, 40.0):
+        norm, _ = integrate.quad(
+            lambda w: float(_table_era_unnorm(w, a, k)), 0.0, 1.0,
+            epsabs=1e-12, epsrel=1e-12, limit=400)
+        ref = _table_era_unnorm(grid, a, k) / norm
+        got = np.array([thermal.tilted_beta_pdf(w, a / 2.0, 1.0, k)
+                        for w in grid])
+        assert np.abs(got / ref - 1.0).max() < 1e-9, a
+
+
+@pytest.mark.parametrize("k", [0.3, 0.5, 1.5])
+def test_cdf_matches_quadrature_of_pdf(k):
+    for a in (0.0, 0.5, 3.0, 20.0):
+        E, sigma = 1.25, a / 2.5
+        assert thermal.tilted_beta_cdf(0.0, E, sigma, k) == 0.0
+        assert thermal.tilted_beta_cdf(1.0, E, sigma, k) == 1.0
+        assert thermal.tilted_beta_cdf(-0.5, E, sigma, k) == 0.0
+        assert thermal.tilted_beta_cdf(1.5, E, sigma, k) == 1.0
+        grid = np.array([0.1, 0.3, 0.5, 0.8, 0.95])
+        cdf = thermal.tilted_beta_cdf(grid, E, sigma, k)
+        for w, c in zip(grid, cdf):
+            ref, _ = integrate.quad(
+                lambda x: thermal.tilted_beta_pdf(x, E, sigma, k), 0.0, w,
+                epsabs=1e-13, epsrel=1e-12, limit=400)
+            assert c == pytest.approx(ref, abs=1e-9)
+
+
+@pytest.mark.parametrize("k", [0.3, 0.75, 1.5, 2.3])
+@pytest.mark.parametrize("a", [0.5, 3.0, 20.0])
+def test_sampler_ks_against_exact_cdf(k, a):
+    E, sigma = 2.0, a / 4.0
+    rng = engine.SeedTree(50).stream(int(100 * k + a))
+    draws = thermal.sample_tilted_beta(E, sigma, k, rng, size=20000)
+    assert ((draws >= 0.0) & (draws <= 1.0)).all()
+    ks = stats.kstest(
+        draws, lambda w: thermal.tilted_beta_cdf(w, E, sigma, k))
+    assert ks.pvalue > 1e-3
+
+
+class _TopUniform:
+    """A stream stand-in that always returns the largest uniform below 1."""
+
+    def random(self, size=None):
+        top = 1.0 - 2.0 ** -53
+        return top if size is None else np.full(size, top)
+
+
+def test_draws_never_leave_the_unit_interval_at_the_top_quantile():
+    # at 2k < 1 the Beta quantile of the top uniform is exactly 1.0, and
+    # log1p(expm1(a)) / a rounds above 1 for some of these tilts
+    for a in np.geomspace(1e-6, 700.0, 3000):
+        assert thermal.sample_tilted_beta(a / 2.0, 1.0, 0.3, _TopUniform()) \
+            <= 1.0
+        assert (thermal.sample_tilted_beta(a / 2.0, 1.0, 0.3, _TopUniform(),
+                                           size=2) <= 1.0).all()
+
+
+def test_large_tilt_rejected_and_largest_finite_tilt_sampled():
+    rng = engine.SeedTree(51).stream(0)
+    for fn in (lambda: thermal.sample_tilted_beta(1000.0, 1.0, 0.75, rng),
+               lambda: thermal.tilted_beta_pdf(0.5, 1000.0, 1.0, 0.75),
+               lambda: thermal.tilted_beta_cdf(0.5, 1000.0, 1.0, 0.75)):
+        with pytest.raises(ValueError):
+            fn()
+    E = thermal.MAX_TILT / 2.0
+    draws = thermal.sample_tilted_beta(E, 1.0, 0.5, rng, size=1000)
+    assert np.isfinite(draws).all() and (draws > 0.9).all()
+    assert math.isfinite(thermal.tilted_beta_pdf(0.999, E, 1.0, 0.75))
+
+
+def test_thermal_updates_keep_no_per_tilt_state():
+    # every update has its own tilt; nothing may outlive the run
+    import tracemalloc
+    p = ModelParams(q=1.0, k=0.75, sigma=0.5, L=40)
+    x0 = engine.SeedTree(5).stream(1).exponential(1.0, size=40)
+    thermal.simulate_thermal_continuous(x0, 1.0, p,
+                                        engine.SeedTree(5).stream(0))
+    tracemalloc.start()
+    try:
+        _, events = thermal.simulate_thermal_continuous(
+            x0, 32.0, p, engine.SeedTree(5).stream(0))
+        n_updates = len(events)
+        del events
+        kept, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert n_updates >= 1200
+    assert kept < 1 << 20
