@@ -390,9 +390,6 @@ def _initial_config(spec):
 
 
 def cmd_simulate(spec):
-    _require_seed(spec)
-    if spec.t <= 0:
-        raise SystemExit("need a positive time horizon")
     if spec.replicas < 1:
         raise SystemExit("need --replicas >= 1")
     eta0 = _initial_config(spec)
@@ -418,8 +415,6 @@ def _check_monte_carlo(spec):
         raise SystemExit("need --replicas >= 2 for a standard error")
     if not 0.0 < spec.q < 1.0:
         raise SystemExit("the q-moment closed forms need 0 < q < 1")
-    if spec.t <= 0:
-        raise SystemExit("need a positive time horizon")
     half = spec.window // 2
     if not 0 < half + spec.bond < spec.window:
         raise SystemExit("need --window >= 2 and a --bond inside the window "
@@ -428,7 +423,6 @@ def _check_monte_carlo(spec):
 
 
 def cmd_current(spec):
-    _require_seed(spec)
     if spec.formula in ("q-step", "q-product"):
         _check_monte_carlo(spec)
     p = ModelParams(q=spec.q, k=spec.k, sigma=spec.sigma)
@@ -496,8 +490,6 @@ def cmd_rate(spec):
     if spec.points < 1:
         raise SystemExit("need a nonempty grid (points >= 1)")
     if spec.model == "asip":
-        if not 0.0 < spec.q <= 1.0:
-            raise SystemExit("the asip rate function needs 0 < q <= 1")
         a, b = currents.walker_rates(spec.q, spec.k)
         mu = [1.0 - spec.bernoulli, spec.bernoulli]
         _, lam_inv = currents.marginal_q_factors(mu, spec.q)
@@ -526,13 +518,8 @@ def _check_sampler(spec):
     whose sampler would raise on its parameters."""
     if spec.samples < 1:
         raise SystemExit("need --samples >= 1 for an empirical histogram")
-    if spec.sampler == "qbetabinom":
-        if not 0.0 < spec.q <= 1.0:
-            raise SystemExit("the q-Beta-Binomial sampler needs 0 < q <= 1")
-        if spec.n < 0:
-            raise SystemExit("need --n >= 0 particles on the edge")
-    if spec.sampler in ("qbetabinom", "tilted-beta") and spec.k <= 0:
-        raise SystemExit("need --k > 0")
+    if spec.sampler == "qbetabinom" and spec.n < 0:
+        raise SystemExit("need --n >= 0 particles on the edge")
     if spec.sampler in ("tilted-beta", "kmp"):
         if spec.bins < 1:
             raise SystemExit("need --bins >= 1")
@@ -545,7 +532,6 @@ def _check_sampler(spec):
 
 
 def cmd_thermalize(spec):
-    _require_seed(spec)
     _check_sampler(spec)
     rng = engine.SeedTree(spec.seed).stream(0)
     lines = ["bin,empirical,exact"]
@@ -577,9 +563,22 @@ def cmd_thermalize(spec):
 
 # ------------------------------------------------------------------ main
 
-def _require_seed(spec):
-    if spec.seed < 0:
+def _check_spec(spec):
+    """Reject bad values of the fields several commands share before
+    any command runs; each command checks its own fields.  A NaN fails
+    every comparison, so each test passes only values in range."""
+    if spec.command in STOCHASTIC_COMMANDS and spec.seed < 0:
         raise SystemExit("--seed is required for stochastic commands")
+    if not 0.0 < spec.q <= 1.0:
+        raise SystemExit("need 0 < --q <= 1")
+    if not 0.0 < spec.k < math.inf:
+        raise SystemExit("need a finite --k > 0")
+    if not 0.0 <= spec.sigma < math.inf:
+        raise SystemExit("need a finite --sigma >= 0")
+    if spec.command in ("simulate", "current") and not 0.0 < spec.t < math.inf:
+        raise SystemExit("need a finite positive time horizon --t")
+    if spec.command in ("current", "rate") and not 0.0 <= spec.bernoulli <= 1.0:
+        raise SystemExit("need 0 <= --bernoulli <= 1")
 
 
 def _add_common(sub):
@@ -676,6 +675,7 @@ def spec_from_args(args):
 def main(argv=None):
     args = build_parser().parse_args(argv)
     spec = spec_from_args(args)
+    _check_spec(spec)
     return _COMMANDS[spec.command](spec)
 
 

@@ -32,9 +32,9 @@ class ModelParams:
     q : float
         Asymmetry parameter in (0, 1]; q = 1 is the symmetric case.
     k : float
-        Attraction/shape parameter, k > 0.
+        Attraction/shape parameter, finite and > 0.
     sigma : float, optional
-        Asymmetry of the continuous (energy) models, sigma >= 0.
+        Asymmetry of the continuous (energy) models, finite and >= 0.
     L : int, optional
         Number of lattice sites, L >= 2.
     boundary : {"closed", "periodic"}, optional
@@ -48,10 +48,10 @@ class ModelParams:
 
     def __post_init__(self):
         qcalc.check_q(self.q)
-        if self.k <= 0:
-            raise ValueError("k must be > 0")
-        if self.sigma < 0:
-            raise ValueError("sigma must be >= 0")
+        if not 0 < self.k < math.inf:
+            raise ValueError("k must be finite and > 0")
+        if not 0 <= self.sigma < math.inf:
+            raise ValueError("sigma must be finite and >= 0")
         if self.L < 2:
             raise ValueError("L must be >= 2")
         if self.boundary not in ("closed", "periodic"):
@@ -169,6 +169,23 @@ class Sector:
 
     def array(self):
         return np.array(self.configs, dtype=int)
+
+    def rank(self, configs):
+        """Positions in this sector of the configurations given as the
+        rows of an integer array, in closed form.
+
+        A configuration is preceded, for each site j < L, by the
+        configurations that agree with it before j and hold more
+        particles at j: ``comb(T_j + L - j - 2, L - j - 1)`` of them, with
+        T_j its particle count right of j (sites 0-based).  The sum is a
+        position, below the sector size, so int64 cannot overflow.
+        """
+        L, N = self.L, self.N
+        tail = N - np.cumsum(configs, axis=1)[:, :-1]
+        before = np.array([[math.comb(t + L - j - 2, L - j - 1)
+                            for j in range(L - 1)] for t in range(N + 1)],
+                          dtype=np.int64).reshape(N + 1, L - 1)
+        return before[tail, np.arange(L - 1)].sum(axis=1)
 
 
 def _compositions(L, N):

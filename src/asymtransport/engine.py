@@ -156,6 +156,8 @@ def simulate_ctmc(rates_spec, eta0, t_max, rng, occupancy_cap=OCCUPANCY_CAP,
         list lookups instead of a rate-function call.
     eta0 : array_like of int
     t_max : float
+        Finite and >= 0, else ``ValueError``: the clock never passes a
+        NaN or infinite horizon.
     rng : numpy Generator
         Each event draws ``rng.exponential`` then ``rng.random``.
     occupancy_cap : int
@@ -165,6 +167,8 @@ def simulate_ctmc(rates_spec, eta0, t_max, rng, occupancy_cap=OCCUPANCY_CAP,
         recoverable from the tail-count change between the initial and
         final configurations); ``n_events`` is counted either way.
     """
+    if not 0.0 <= t_max < math.inf:
+        raise ValueError("need a finite time horizon t_max >= 0")
     initial = np.asarray(eta0, dtype=int).copy()
     eta = initial.tolist()
     n_edges = len(eta) - 1

@@ -117,11 +117,13 @@ _EDGE_RATE_FNS = {
 
 def edge_rate_table(model, params, n_max):
     """Occupancy-pair lookup tables (right[na, nb], left[na, nb]) for the
-    single-particle-move models, for occupancies 0..n_max.
+    single-particle-move models, for occupancies 0..n_max; each entry is
+    the rate function's value at (na, nb).
 
     ``engine.simulate_ctmc`` converts them once per trajectory to nested
     lists and refreshes each edge rate with two list lookups, instead of
-    re-evaluating q-deformed rates per event."""
+    re-evaluating q-deformed rates per event; :func:`build_generator`
+    gathers every state's edge rates from them at once."""
     rate_fn = _EDGE_RATE_FNS[model]
     p2 = ModelParams(q=params.q, k=params.k, sigma=params.sigma, L=2)
     right = np.zeros((n_max + 1, n_max + 1))
@@ -138,31 +140,37 @@ def build_generator(sector, model, params):
     ``model`` is one of asip, sip, qtazrp (single-particle moves) or
     th_asip, th_sip (rate-1 edge redistribution rows built from the exact
     conditional split laws).
+
+    The single-particle-move rates come from :func:`edge_rate_table`,
+    looked up at every state's edge occupancies at once, and the target
+    of every move is ranked in closed form (``Sector.rank``).
     """
     if model in ("th_asip", "th_sip"):
         from . import thermal
         if model == "th_asip":
             return thermal.th_asip_generator(sector, params)
         return thermal.th_sip_generator(sector, params.k, boundary=params.boundary)
-    try:
-        rate_fn = _EDGE_RATE_FNS[model]
-    except KeyError:
+    if model not in _EDGE_RATE_FNS:
         raise ValueError("unknown model %r" % (model,))
     if sector.L != params.L:
         raise ValueError("sector length does not match params.L")
-    rows, cols, rates = [], [], []
-    for a, eta in enumerate(sector.configs):
-        ev = np.asarray(eta)
-        for i in range(1, params.n_edges + 1):
-            si, sj = params.edge_sites(i)
-            r_right, r_left = rate_fn(ev, i, params)
-            if r_right > 0:
-                tgt = sector.index[tuple(configspace.move_particle(ev, si, sj))]
-                rows.append(a); cols.append(tgt); rates.append(r_right)
-            if r_left > 0:
-                tgt = sector.index[tuple(configspace.move_particle(ev, sj, si))]
-                rows.append(a); cols.append(tgt); rates.append(r_left)
-    return SparseRateMatrix(len(sector), rows, cols, rates)
+    right, left = edge_rate_table(model, params, sector.N)
+    configs = sector.array()
+    a = np.arange(params.n_edges)      # 0-based left site of each edge
+    b = (a + 1) % sector.L             # its right site, wrapping on a ring
+    na, nb = configs[:, a], configs[:, b]
+    rates = np.stack([right[na, nb], left[na, nb]], axis=2)
+    # nonzero walks (state, edge, right/left) in C order; SparseRateMatrix
+    # sums duplicate moves (L = 2 rings) in the order it receives them
+    rows, edge, leftward = np.nonzero(rates > 0)
+    src = np.where(leftward, b[edge], a[edge])
+    dst = np.where(leftward, a[edge], b[edge])
+    targets = configs[rows]
+    move = np.arange(len(rows))
+    targets[move, src] -= 1
+    targets[move, dst] += 1
+    return SparseRateMatrix(len(sector), rows, sector.rank(targets),
+                            rates[rows, edge, leftward])
 
 
 def _abep_edge_coeffs(x, i, k, sigma):

@@ -19,16 +19,23 @@ here:
    on both sides produces (up to a sector constant) its self-duality
    kernel.
 
-All operators are dense matrices on the truncated occupation basis
-``{0, ..., n_max}`` per site; identities are exact on any particle-number
-sector whose total fits strictly inside the truncation.
+Operators are returned as dense matrices on the truncated occupation
+basis ``{0, ..., n_max}`` per site, site 1 the most significant tensor
+factor; identities are exact on any particle-number sector whose total
+fits strictly inside the truncation.
 
-The explicit operators of steps 3 and 4 factor over sites: each element
-is a product, in site order, of per-site factors looked up in small
-tables.  Viewing a matrix as (sites before i, site i, sites after i)
-makes each factor one in-place broadcast multiply, and keeping the
-formulas' order of products fixes every bit of the result.  Nothing here
-uses ``dualitylab``'s kernel code, so comparing the two is a genuine
+The Hamiltonian and the explicit operators of steps 3 and 4 are
+assembled in place from small tables, without full-size Kronecker
+products, by viewing a matrix as (sites before i, site i, sites after i)
+on both axes.  The Hamiltonian adds each edge's two-site matrix into the
+strided view of the blocks where the other sites keep their
+occupations.  The explicit operators factor over sites: each element is
+a product, in site order, of per-site factors looked up in small tables,
+and each factor is one in-place broadcast multiply.  Keeping the
+formulas' order of sums and products fixes every bit of the result.  The
+global symmetries and the deformed exponential series, which only serve
+as checks, are still Kronecker products.  Nothing here uses
+``dualitylab``'s kernel code, so comparing the two is a genuine
 re-derivation.
 """
 
@@ -171,14 +178,31 @@ def embed(op, site, L, n_max):
 
 def build_hamiltonian(L, k, q, n_max, form="explicit"):
     """Sum over edges of the embedded two-site Casimir image plus the
-    per-edge constant; annihilates the all-empty state and is symmetric."""
+    per-edge constant; annihilates the all-empty state and is symmetric.
+
+    The embedded summand of edge i is nonzero only in the blocks where
+    the sites other than i and i+1 keep their occupations, so each edge
+    adds the pair matrix into a strided view of those blocks and the
+    constant into a view of the diagonal.  Every entry receives the
+    nonzero addends of the dense sum, in the same order.
+    """
     d = n_max + 1
+    dim = d ** L
     pair = delta_casimir_pair(k, q, n_max, form=form)
     c = hamiltonian_constant(k, q)
-    H = np.zeros((d ** L, d ** L))
+    H = np.zeros((dim, dim))
+    diagonal = H.reshape(-1)[::dim + 1]
+    step = H.strides[1]
     for i in range(1, L):
-        H += embed(pair, i, L, n_max)
-        H += c * np.eye(d ** L)
+        before, after = d ** (i - 1), d ** (L - i - 1)
+        # (sites before, sites after, pair row, pair column); the sites
+        # outside the edge move the row and the column together
+        blocks = np.lib.stride_tricks.as_strided(
+            H, shape=(before, after, d * d, d * d),
+            strides=(d * d * after * (dim + 1) * step, (dim + 1) * step,
+                     after * dim * step, after * step))
+        blocks += pair
+        diagonal += c
     return H
 
 
@@ -354,10 +378,13 @@ def derive_generator(L, k, q, n_max, form="explicit"):
     """Ground-state conjugation of the Hamiltonian,
     ``G^-1 H G`` with G = diag(ground state); entry (x, y) is the jump
     rate x -> y and rows sum to zero on particle-number sectors that fit
-    in the truncation."""
+    in the truncation.  Both factors act in place on H, so no second
+    matrix of its size is made."""
     H = build_hamiltonian(L, k, q, n_max, form=form)
     g = ground_state_vector(L, k, q, n_max)
-    return (H * g[None, :]) / g[:, None]
+    H *= g[None, :]
+    H /= g[:, None]
+    return H
 
 
 def derive_duality(L, k, q, n_max):
@@ -386,8 +413,9 @@ def sector_symmetry_residual(H, S, L, n_max, n_total_max):
     column configurations both have at most ``n_total_max`` particles;
     this excludes the rows truncated by the finite basis (a raising
     operator maps total n to n + 1, so use n_total_max <= n_max - 1)."""
-    comm = H @ S - S @ H
-    scale = max(1.0, float(np.abs(H @ S).max()))
+    HS = H @ S
+    comm = HS - S @ H
+    scale = max(1.0, float(np.abs(HS).max()))
     keep = basis_occupations(L, n_max).sum(axis=1) <= n_total_max
     return float(np.abs(comm[np.ix_(keep, keep)]).max()) / scale
 

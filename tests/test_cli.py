@@ -239,6 +239,8 @@ def test_init_length_checked_against_default_valued_L():
 @pytest.mark.parametrize("bad", [
     ["--replicas", "0"], ["--replicas", "1"], ["--q", "1.0"],
     ["--t", "0"], ["--window", "1"], ["--bond", "20"], ["--bond", "-20"],
+    ["--t", "nan"], ["--t", "inf"], ["--k", "0"], ["--k", "-1"],
+    ["--bernoulli", "nan"], ["--bernoulli", "1.5"], ["--bernoulli", "-0.1"],
 ])
 @pytest.mark.parametrize("formula", ["q-step", "q-product"])
 def test_current_bad_monte_carlo_input_rejected(tmp_path, formula, bad):
@@ -275,6 +277,19 @@ def test_current_bad_monte_carlo_input_rejected(tmp_path, formula, bad):
     ["rate", "--model", "asip", "--q", "0", "--k", "0.5"],
     ["simulate", "--model", "asip", "--t", "1", "--replicas", "0"],
     ["simulate", "--model", "asip", "--t", "1", "--replicas", "-3"],
+    ["simulate", "--model", "asip", "--t", "nan"],
+    ["simulate", "--model", "asip", "--t", "inf"],
+    ["simulate", "--model", "asip", "--t", "1", "--k", "0"],
+    ["verify", "--k", "0"],
+    ["verify", "--k", "-1"],
+    ["verify", "--k", "nan"],
+    ["verify", "--sigma", "-1"],
+    ["verify", "--sigma", "nan"],
+    ["rate", "--model", "asip", "--k", "0"],
+    ["rate", "--model", "sip", "--k", "-0.5"],
+    ["rate", "--model", "asip", "--bernoulli", "nan"],
+    ["current", "--formula", "energy-product", "--t", "nan"],
+    ["current", "--formula", "energy-product", "--sigma", "-1"],
 ])
 def test_bad_sampler_and_simulate_input_rejected(tmp_path, argv):
     out = tmp_path / "out.csv"

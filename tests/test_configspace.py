@@ -22,6 +22,11 @@ def test_model_params_validation():
         ModelParams(q=0.5, k=1.0, L=1)
     with pytest.raises(ValueError):
         ModelParams(q=0.5, k=1.0, boundary="torus")
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            ModelParams(q=0.5, k=bad)
+        with pytest.raises(ValueError):
+            ModelParams(q=0.5, k=1.0, sigma=bad)
 
 
 def test_model_params_edges():
@@ -108,6 +113,16 @@ def test_sector_enumeration_count_and_index():
         assert sum(c) == 4
     # first listed config puts everything on the first site
     assert tuple(sec.configs[0]) == (4, 0, 0)
+
+
+def test_sector_rank_is_enumeration_order():
+    for L in range(1, 7):
+        for N in range(0, 7):
+            sec = cs.enumerate_sector(L, N)
+            assert sec.rank(sec.array()).tolist() == list(range(len(sec)))
+            # any subset, in any order, keeps its positions
+            rows = np.arange(len(sec))[::-3]
+            assert sec.rank(sec.array()[rows]).tolist() == rows.tolist()
 
 
 def test_sector_cap():

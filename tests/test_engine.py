@@ -99,6 +99,15 @@ def test_callable_and_tabular_rates_agree():
     assert log_a.events == log_b.events
 
 
+@pytest.mark.parametrize("t_max", [float("nan"), float("inf"), -1.0])
+def test_horizon_must_be_finite_and_nonnegative(t_max):
+    # a NaN horizon is never passed, so the loop would record events forever
+    p = ModelParams(q=0.8, k=0.5, L=3)
+    with pytest.raises(ValueError):
+        engine.simulate_ctmc(_tables(p, 3), np.array([2, 1, 0]), t_max,
+                             engine.SeedTree(1).stream(0))
+
+
 def test_occupancy_cap_guard():
     p = ModelParams(q=0.8, k=0.5, L=2)
     with pytest.raises(RuntimeError):

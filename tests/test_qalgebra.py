@@ -213,3 +213,54 @@ def test_basis_occupations_and_sector_indices():
             qa.basis_index(c, n_max) for c in sec.configs]
     with pytest.raises(ValueError):
         qa.sector_indices(cs.enumerate_sector(L, n_max + 1), n_max)
+
+
+# Reference: the Hamiltonian as the dense sum of Kronecker embeds and
+# constant identities it was built from before the strided block views.
+# Every entry gets the same nonzero addends in the same order, so the
+# matrices must agree bit for bit.
+
+def _ref_build_hamiltonian(L, k, q, n_max, form="explicit"):
+    d = n_max + 1
+    pair = qa.delta_casimir_pair(k, q, n_max, form=form)
+    c = qa.hamiltonian_constant(k, q)
+    H = np.zeros((d ** L, d ** L))
+    for i in range(1, L):
+        H += np.kron(np.kron(np.eye(d ** (i - 1)), pair),
+                     np.eye(d ** (L - i - 1)))
+        H += c * np.eye(d ** L)
+    return H
+
+
+@pytest.mark.parametrize("L,n_max", [(2, 5), (3, 3), (4, 4), (5, 3)])
+def test_hamiltonian_matches_dense_kronecker_sum_bit_for_bit(L, n_max):
+    for q, k in ((0.85, 1.0), (0.8, 0.5), (0.6, 0.3), (0.95, 2.0),
+                 (1.0, 0.75)):
+        forms = ("explicit",) if q == 1.0 else ("explicit", "sandwiched")
+        for form in forms:
+            H = qa.build_hamiltonian(L, k, q, n_max, form=form)
+            ref = _ref_build_hamiltonian(L, k, q, n_max, form=form)
+            assert H.tobytes() == ref.tobytes(), (q, k, form)
+
+
+def test_sector_symmetry_residual_bit_for_bit():
+    # reference: the residual as it was written, forming H @ S twice
+    L, n_max = 3, 3
+    H = qa.build_hamiltonian(L, K, Q, n_max)
+    keep = qa.basis_occupations(L, n_max).sum(axis=1) <= n_max - 1
+    for S in qa.coproduct_symmetries(L, K, Q, n_max).values():
+        comm = H @ S - S @ H
+        scale = max(1.0, float(np.abs(H @ S).max()))
+        ref = float(np.abs(comm[np.ix_(keep, keep)]).max()) / scale
+        assert qa.sector_symmetry_residual(H, S, L, n_max, n_max - 1) == ref
+
+
+@pytest.mark.parametrize("L,n_max", [(3, 3), (4, 4)])
+def test_derive_generator_bit_for_bit(L, n_max):
+    # reference: the conjugation as formed out of place, on the
+    # reference Hamiltonian
+    for q, k in ((0.85, 1.0), (0.8, 0.5), (1.0, 0.75)):
+        g = qa.ground_state_vector(L, k, q, n_max)
+        ref = (_ref_build_hamiltonian(L, k, q, n_max) * g[None, :]) \
+            / g[:, None]
+        assert qa.derive_generator(L, k, q, n_max).tobytes() == ref.tobytes()
