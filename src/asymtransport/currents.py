@@ -105,7 +105,7 @@ def marginal_q_factors(mu, q):
     """One-site factors of a discrete occupation law: ``E[q^(2 eta)]`` and
     ``E[q^(-2 eta)]`` (``mu`` is a pmf vector over 0..len-1)."""
     mu = np.asarray(mu, dtype=float)
-    if abs(mu.sum() - 1.0) > 1e-12 or (mu < 0).any():
+    if not (abs(mu.sum() - 1.0) <= 1e-12 and (mu >= 0).all()):
         raise ValueError("mu must be a probability vector")
     n = np.arange(len(mu))
     return float(np.sum(mu * q ** (2 * n))), float(np.sum(mu * q ** (-2.0 * n)))
@@ -126,12 +126,6 @@ def growth_rate_continuous(lam_plus, k):
     if lam_plus < 1.0:
         raise ValueError("E[exp(2 sigma x)] is >= 1 for x >= 0")
     return growth_rate(math.log(lam_plus), 2.0 * k, 2.0 * k)
-
-
-def _window_tail_counts(eta_window, window_start):
-    """N_m for m from window_start to one past the window (suffix sums)."""
-    eta = np.asarray(eta_window, dtype=int)
-    return np.concatenate([np.cumsum(eta[::-1])[::-1], [0]])
 
 
 def q_moment_fixed_config(eta_window, window_start, bond, t, params,
@@ -164,7 +158,7 @@ def q_moment_fixed_config(eta_window, window_start, bond, t, params,
         raise ValueError("the q-moment closed form needs q < 1")
     eta = np.asarray(eta_window, dtype=int)
     W = len(eta)
-    tails = _window_tail_counts(eta, window_start)
+    tails = np.concatenate([np.cumsum(eta[::-1])[::-1], [0]])  # suffix sums
 
     def tail_count_at(m):
         if m < window_start:
@@ -327,6 +321,8 @@ def abep_moment_product(lam_plus, lam_minus, t, k, tol=1e-15):
 
     ``P(l(t) = 0) + E[(lam_plus^l + lam_minus^l) 1_(l>=1)]``.
     """
+    if not (math.isfinite(lam_plus) and math.isfinite(lam_minus)):
+        raise ValueError("lam_plus and lam_minus must be finite")
     rate_t = 2.0 * k * t
     acc = float(symmetric_walk_pmf(0, rate_t))
     l = 1

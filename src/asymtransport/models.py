@@ -19,7 +19,7 @@ the asymmetric energy diffusion (sigma > 0) and its symmetric limit.
 import math
 
 import numpy as np
-from scipy import integrate, sparse
+from scipy import sparse
 
 from . import configspace, qcalc
 from .configspace import ModelParams
@@ -29,7 +29,7 @@ __all__ = [
     "SparseRateMatrix", "asip_edge_rates", "sip_edge_rates", "qtazrp_rate",
     "build_generator", "edge_rate_table",
     "abep_generator_apply", "bep_generator_apply",
-    "theta_edge", "adep_relax_pair",
+    "theta_edge", "adep_velocity", "adep_relax_pair",
     "asip_marginal_pmf", "asip_marginal_Z", "asip_marginal_Z_closed",
     "asip_marginal_mean", "asip_marginal_mean_closed",
     "detailed_balance_residual", "alpha_max",
@@ -101,11 +101,7 @@ def qtazrp_rate(y, i, q):
 
 
 def _qtazrp_rates(eta, i, params):
-    a, b = params.edge_sites(i)
-    nb = int(eta[b - 1])
-    if params.q == 1.0:
-        return 0.0, float(nb)
-    return 0.0, (params.q ** (-2 * nb) - 1.0) / (params.q ** (-2) - 1.0)
+    return 0.0, qtazrp_rate(eta, params.edge_sites(i)[1] - 1, params.q)
 
 
 _EDGE_RATE_FNS = {
@@ -232,48 +228,53 @@ def theta_edge(x, i, params):
     return a1
 
 
-def adep_relax_pair(a, b, sigma, t_max=200.0, dt=None, kind="adep",
-                    tol=1e-11):
-    """Relax the two-site deterministic energy flow to its fixed point.
+def adep_velocity(u, v, sigma, kind="adep"):
+    """du/dt of the two-site deterministic energy flow (dv/dt = -du/dt):
+    "adep" (asymmetric), "dep" (symmetric limit) or "tadep" (totally
+    asymmetric, all energy drains to the left site)."""
+    if kind == "dep" or (kind == "adep" and sigma == 0.0):
+        return -(u - v)
+    if kind == "adep":
+        return -(2.0 - np.exp(-2.0 * sigma * u)
+                 - np.exp(2.0 * sigma * v)) / (2.0 * sigma)
+    if kind == "tadep":
+        return -(1.0 - np.exp(2.0 * sigma * v)) / (2.0 * sigma)
+    raise ValueError("unknown kind %r" % (kind,))
 
-    ``kind`` selects the flow: "adep" (asymmetric), "dep" (symmetric limit,
-    equal split) or "tadep" (totally asymmetric, all energy to the left
-    site).  Raises if the flow has not converged by ``t_max``.
+
+def adep_relax_pair(a, b, sigma, t=math.inf, kind="adep"):
+    """Energies (u, v) at time t (scalar or array; inf gives the fixed
+    point) of the flow :func:`adep_velocity` started from (a, b).
+
+    With S = a + b each flow is linear in one variable, so it has a closed
+    form: y = e^(2 sigma u) solves ``y' = (1 + e^(2 sigma S)) - 2y``
+    (adep), z = e^(-2 sigma v) solves ``z' = 1 - z`` (tadep), and u solves
+    ``u' = S - 2u`` (dep, and adep at sigma = 0).
     """
     if a < 0 or b < 0:
         raise ValueError("energies must be >= 0")
-
-    def velocity(kind, u, v):
-        if kind == "dep" or (kind == "adep" and sigma == 0.0):
-            return -(u - v)
-        if kind == "adep":
-            return -(2.0 - math.exp(-2.0 * sigma * u)
-                     - math.exp(2.0 * sigma * v)) / (2.0 * sigma)
-        if kind == "tadep":
-            return -(1.0 - math.exp(2.0 * sigma * v)) / (2.0 * sigma)
+    if not sigma >= 0.0 or (kind == "tadep" and sigma == 0.0):
+        raise ValueError("need sigma > 0 (sigma >= 0 for adep and dep)")
+    t = np.asarray(t, dtype=float)
+    if kind == "tadep":
+        v = -np.log1p(np.expm1(-2.0 * sigma * b) * np.exp(-t)) / (2.0 * sigma)
+        return a + b - v, v
+    decay = -np.expm1(-2.0 * t)                     # 1 - e^(-2t)
+    if kind == "dep" or (kind == "adep" and sigma == 0.0):
+        u = a + 0.5 * (b - a) * decay
+    elif kind == "adep":
+        # y(t)/y(0) - 1 = (y(inf)/y(0) - 1)(1 - e^(-2t))
+        gain = 0.5 * (np.expm1(-2.0 * sigma * a) + np.expm1(2.0 * sigma * b))
+        u = a + np.log1p(gain * decay) / (2.0 * sigma)
+    else:
         raise ValueError("unknown kind %r" % (kind,))
-
-    def rhs(t, y):
-        w = velocity(kind, y[0], y[1])
-        return [w, -w]
-
-    sol = integrate.solve_ivp(rhs, (0.0, t_max), [float(a), float(b)],
-                              rtol=1e-12, atol=1e-13, dense_output=False)
-    u, v = sol.y[:, -1]
-    if abs(velocity(kind, u, v)) > tol:
-        raise RuntimeError("two-site flow not converged by t_max=%g" % t_max)
-    return float(u), float(v)
+    return u, a + b - u
 
 
 def alpha_max(params, i=None):
     """Upper end of the admissible alpha interval for the discrete product
     measures: alpha < q^-(2k+1) globally."""
     return params.q ** (-(2.0 * params.k + 1.0))
-
-
-def _asip_weight(n, i, params, alpha):
-    q, k = params.q, params.k
-    return alpha ** n * q_binomial(n + 2 * k - 1, n, q) * q ** (4 * k * i * n)
 
 
 def _asip_weight_ratio_limit(i, params, alpha):
@@ -327,7 +328,9 @@ def asip_marginal_pmf(i, n, params, alpha):
     """P(eta_i = n) under the reversible product measure labeled alpha."""
     if n < 0:
         return 0.0
-    return _asip_weight(n, i, params, alpha) / asip_marginal_Z(i, params, alpha)
+    q, k = params.q, params.k
+    w = alpha ** n * q_binomial(n + 2 * k - 1, n, q) * q ** (4 * k * i * n)
+    return w / asip_marginal_Z(i, params, alpha)
 
 
 def asip_marginal_mean(i, params, alpha, tol=1e-13):
@@ -372,50 +375,36 @@ def detailed_balance_residual(sector, model, params, weight_fn, scale=1e-300):
     gen = build_generator(sector, model, params)
     coo = gen.matrix.tocoo()
     mu = np.array([weight_fn(np.asarray(c)) for c in sector.configs])
-    worst = 0.0
-    for r, c, v in zip(coo.row, coo.col, coo.data):
-        if r == c or v <= 0:
-            continue
-        flow = mu[r] * v
-        back = mu[c] * gen.matrix[c, r]
-        worst = max(worst, abs(flow - back) / max(scale, abs(flow)))
-    return worst
+    move = (coo.row != coo.col) & (coo.data > 0)
+    r, c = coo.row[move], coo.col[move]
+    flow = mu[r] * coo.data[move]
+    back = mu[c] * np.asarray(gen.matrix[c, r]).ravel()
+    return float(np.max(np.abs(flow - back) / np.maximum(scale, np.abs(flow)),
+                        initial=0.0))
 
 
-def ring_product_measure_gap(L, N, params, n_starts=8, seed=0):
-    """Smallest stationarity violation achievable by a homogeneous product
-    measure on the periodic chain, restricted to the (L, N) sector.
+def ring_product_measure_gap(L, N, params):
+    """Distance of the periodic chain's stationary law from homogeneous
+    product form, on the (L, N) sector.
 
-    The candidate is mu(eta) prop prod_i w(eta_i) with w(0) = 1 and free
-    positive single-site weights; the violation is ``max |mu Q| / max Q``
-    after normalizing mu.  A strictly positive lower bound certifies that
-    no homogeneous product measure is stationary on the ring.
+    The sector is irreducible, so its stationary law pi (the null vector
+    of Q^T) is unique; a homogeneous product measure is stationary only if
+    log pi is a constant plus log-weights summed over the counts
+    #{i : eta_i = n}, n = 1..N.  Returns the max-abs residual of the
+    least-squares fit of log pi on those counts: round-off (about 1e-15)
+    at q = 1, scaling like (1 - q)^3 as q -> 1 (round-off above q of
+    about 0.9999).
     """
-    from scipy import optimize
     p = ModelParams(q=params.q, k=params.k, sigma=params.sigma, L=L,
                     boundary="periodic")
     sector = configspace.enumerate_sector(L, N)
-    Q = build_generator(sector, "asip", p).matrix.toarray()
-    q_scale = np.abs(Q).max()
-    occ = np.array(sector.configs)
-
-    def violation(log_w):
-        log_w = np.clip(log_w, -25.0, 25.0)
-        w = np.concatenate([[0.0], log_w])
-        log_mu = w[occ].sum(axis=1)
-        mu = np.exp(log_mu - log_mu.max())
-        mu /= mu.sum()
-        return np.abs(mu @ Q).max() / q_scale
-
-    rng = np.random.default_rng(seed)
-    best = np.inf
-    for s in range(n_starts):
-        x0 = rng.normal(scale=2.0, size=N) if s else np.zeros(N)
-        res = optimize.minimize(violation, x0, method="Nelder-Mead",
-                                options={"xatol": 1e-12, "fatol": 1e-14,
-                                         "maxiter": 20000})
-        best = min(best, float(res.fun))
-    return best
+    Q = build_generator(sector, "asip", p).toarray()
+    null = np.linalg.svd(Q.T)[2][-1]    # singular values descend to 0
+    log_pi = np.log(null / null.sum())
+    occ = sector.array()
+    counts = (occ[:, :, None] == np.arange(1, N + 1)).sum(axis=1)
+    fit = np.column_stack([np.ones(len(occ)), counts])
+    return float(np.abs(log_pi - fit @ (np.linalg.pinv(fit) @ log_pi)).max())
 
 
 def qtazrp_limit_gap(params, n_max):
@@ -424,11 +413,6 @@ def qtazrp_limit_gap(params, n_max):
     and the zero-range left rate; vanishes as k grows."""
     q, k = params.q, params.k
     scale = (1.0 - q * q) * q ** (4.0 * k - 1.0)
-    worst = 0.0
-    for na in range(n_max + 1):
-        for nb in range(n_max + 1):
-            eta = np.array([na, nb])
-            _, left = asip_edge_rates(eta, 1, params)
-            target = qtazrp_rate(np.array([0, nb]), 1, q)
-            worst = max(worst, abs(scale * left - target))
-    return worst
+    _, left = edge_rate_table("asip", params, n_max)
+    _, target = edge_rate_table("qtazrp", params, n_max)
+    return float(np.abs(scale * left - target).max())

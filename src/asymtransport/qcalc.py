@@ -163,10 +163,12 @@ def skellam_pmf(m, mu1, mu2):
 
     ``P(m) = e^{-mu1-mu2} (mu1/mu2)^{m/2} I_{|m|}(2 sqrt(mu1 mu2))``.
     Degenerates to a (reflected) Poisson law when either rate vanishes.
-    Accepts scalar or array ``m``.
+    Accepts scalar or array ``m``.  Rejects rates that are negative or not
+    finite, so the walker series built on it cannot run on NaN terms.
     """
-    if mu1 < 0 or mu2 < 0:
-        raise ValueError("Poisson rates must be >= 0")
+    if not (0.0 <= mu1 < math.inf and 0.0 <= mu2 < math.inf):
+        raise ValueError("Poisson rates must be finite and >= 0, got %r, %r"
+                         % (mu1, mu2))
     m = np.asarray(m)
     scalar = m.ndim == 0
     m = np.atleast_1d(m).astype(int)

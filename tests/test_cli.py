@@ -49,6 +49,18 @@ def test_verify_suites_pass(tmp_path):
     assert "FAIL" not in text
 
 
+@pytest.mark.parametrize("q,k", [("0.99", "2"), ("0.999", "0.5")])
+def test_verify_measures_pass_near_q_one(tmp_path, q, k):
+    # the ring's product-form residual is 5.4e-6 and 1.3e-9 here, far
+    # below any fixed bound on an optimizer's gap but above round-off
+    out = tmp_path / "rep.txt"
+    code = main(["verify", "--suite", "measures", "--q", q, "--k", k,
+                 "--out", str(out)])
+    text = _read(out).decode()
+    assert code == 0
+    assert "ring-has-no-product-measure" in text and "FAIL" not in text
+
+
 def test_verify_fault_injection_fails(tmp_path):
     out = tmp_path / "rep.txt"
     code = main(["verify", "--suite", "duality", "--q", "0.8", "--k", "0.5",
@@ -271,6 +283,7 @@ def test_current_bad_monte_carlo_input_rejected(tmp_path, formula, bad):
      "--energy", "1000", "--samples", "100", "--bins", "4"],
     ["verify", "--q", "1.5"],
     ["verify", "--suite", "duality", "--q", "1.0"],
+    ["verify", "--suite", "measures", "--q", "1.0"],
     ["verify", "--suite", "thermal", "--q", "0.8", "--perturb-q", "0.5"],
     ["verify", "--suite", "limits", "--q", "0.8", "--perturb-q", "-0.9"],
     ["rate", "--model", "asip", "--q", "1.5", "--k", "0.5"],

@@ -1,6 +1,8 @@
 """Exponential current moments and large deviation rate functions."""
 
+import contextlib
 import math
+import signal
 
 import numpy as np
 import pytest
@@ -152,3 +154,39 @@ def test_param_hash_stable_and_distinct():
 def test_comparison_row_z_score():
     row = cur.comparison_row("f", "h", 1.0, 0.9, 0.05)
     assert row["z"] == pytest.approx(2.0)
+
+
+@contextlib.contextmanager
+def _deadline(seconds):
+    """Raise TimeoutError in the calling (main) thread after ``seconds``,
+    so that a series loop that never stops fails the test instead of
+    hanging it."""
+    def expire(signum, frame):
+        raise TimeoutError("no return within %g s" % seconds)
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: cur.q_moment_product([0.5, 0.5], math.nan, P),
+    lambda: cur.q_moment_product([0.5, 0.5], math.inf, P),
+    lambda: cur.q_moment_product([math.nan, math.nan], 1.0, P),
+    lambda: cur.q_moment_product([0.5, math.inf], 1.0, P),
+    lambda: cur.q_moment_fixed_config([1, 0, 2], 0, 1, math.nan, P),
+    lambda: cur.abep_moment_product(math.nan, 1.0, 1.0, 0.5),
+    lambda: cur.abep_moment_product(1.2, math.inf, 1.0, 0.5),
+    lambda: cur.abep_moment_product(1.2, 0.8, math.nan, 0.5),
+    lambda: cur.abep_moment_fixed([1.0, 0.5], 0, 1, math.nan, 0.5, 0.5),
+    lambda: cur._walk_tail(3, math.nan, "left", 1e-15),
+], ids=["product-t-nan", "product-t-inf", "product-mu-nan", "product-mu-inf",
+        "fixed-t-nan", "abep-lam-nan", "abep-lam-inf", "abep-t-nan",
+        "abep-fixed-t-nan", "walk-tail-nan"])
+def test_series_reject_non_finite_input(call):
+    with _deadline(5.0), pytest.raises(ValueError):
+        call()

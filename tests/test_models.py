@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import linalg
+from scipy.integrate import solve_ivp
 
 from asymtransport import configspace as cs
 from asymtransport import models
@@ -131,10 +133,33 @@ def test_mean_occupation_closed_form(q, k):
 
 
 def test_ring_has_no_homogeneous_product_measure():
-    gap = models.ring_product_measure_gap(3, 3,
-                                          ModelParams(q=0.8, k=0.5),
-                                          n_starts=4)
-    assert gap > 1e-6
+    for q in (0.3, 0.8, 0.95):
+        assert models.ring_product_measure_gap(
+            3, 3, ModelParams(q=q, k=0.5)) > 1e-12
+
+
+@pytest.mark.parametrize("k", [0.5, 1.0, 2.0])
+def test_symmetric_ring_has_product_measure(k):
+    assert models.ring_product_measure_gap(3, 3, ModelParams(q=1.0, k=k)) \
+        < 1e-13
+
+
+def test_ring_fit_is_exact_on_closed_chain_with_site_counts():
+    # the closed chain's reversible measure is a product of site-dependent
+    # marginals, so the same fit with counts per site leaves round-off
+    L, N = 3, 3
+    p = ModelParams(q=0.8, k=0.5, L=L)
+    sec = cs.enumerate_sector(L, N)
+    Q = models.build_generator(sec, "asip", p).toarray()
+    null = linalg.null_space(Q.T)
+    assert null.shape[1] == 1
+    log_pi = np.log(null[:, 0] / null[:, 0].sum())
+    occ = sec.array()
+    site_counts = (occ[:, :, None] == np.arange(1, N + 1)).reshape(len(occ),
+                                                                   -1)
+    fit = np.column_stack([np.ones(len(occ)), site_counts])
+    coef = np.linalg.lstsq(fit, log_pi, rcond=None)[0]
+    assert np.abs(log_pi - fit @ coef).max() < 1e-13
 
 
 def test_abep_coefficients_symmetric_limit():
@@ -200,6 +225,44 @@ def test_tadep_fixed_point_all_left():
     assert v == pytest.approx(0.0, abs=1e-8)
 
 
+def _rk45_pair(a, b, sigma, t, kind):
+    def rhs(_, y):
+        w = models.adep_velocity(y[0], y[1], sigma, kind)
+        return [w, -w]
+
+    sol = solve_ivp(rhs, (0.0, t), [a, b], rtol=1e-12, atol=1e-13)
+    return sol.y[:, -1]
+
+
+@pytest.mark.parametrize("kind", ["adep", "tadep", "dep"])
+@pytest.mark.parametrize("a,b,sigma", [(1.0, 1.0, 1.0), (0.3, 2.0, 0.5),
+                                       (2.5, 0.1, 1.7), (0.0, 1.2, 0.8)])
+def test_closed_form_flow_matches_rk45(kind, a, b, sigma):
+    ts = np.array([0.0, 0.25, 1.0, 3.0])
+    u, v = models.adep_relax_pair(a, b, sigma, ts, kind)
+    assert u[0] == pytest.approx(a, abs=1e-15)
+    assert v[0] == pytest.approx(b, abs=1e-15)
+    for j, t in enumerate(ts[1:], start=1):
+        ref = _rk45_pair(a, b, sigma, t, kind)
+        assert abs(u[j] - ref[0]) < 1e-10 and abs(v[j] - ref[1]) < 1e-10
+    assert np.abs(u + v - (a + b)).max() < 1e-14
+
+
+def test_adep_flow_at_sigma_zero_is_dep():
+    u0, v0 = models.adep_relax_pair(1.5, 0.5, 0.0, 0.7)
+    u1, v1 = models.adep_relax_pair(1.5, 0.5, 0.7, 0.7, kind="dep")
+    assert (u0, v0) == (u1, v1)
+
+
+def test_flow_rejects_bad_input():
+    for args, kw in (((-1.0, 1.0, 1.0), {}), ((1.0, 1.0, -0.5), {}),
+                     ((1.0, 1.0, math.nan), {}),
+                     ((1.0, 1.0, 0.0), {"kind": "tadep"}),
+                     ((1.0, 1.0, 1.0), {"kind": "nope"})):
+        with pytest.raises(ValueError):
+            models.adep_relax_pair(*args, **kw)
+
+
 @given(st.floats(min_value=0.1, max_value=0.95),
        st.floats(min_value=0.3, max_value=2.0),
        st.integers(min_value=0, max_value=3),
@@ -250,6 +313,50 @@ def test_generator_matches_per_entry_loop_bit_for_bit(model, boundary):
                     a, b = getattr(new, name), getattr(ref, name)
                     assert a.dtype == b.dtype
                     assert a.tobytes() == b.tobytes(), (L, N, q, k, name)
+
+
+# Reference: the per-entry loop that measured detailed balance before the
+# vectorized pass; both must return the same float bit for bit.
+
+def _ref_detailed_balance_residual(sector, model, params, weight_fn,
+                                   scale=1e-300):
+    gen = models.build_generator(sector, model, params)
+    coo = gen.matrix.tocoo()
+    mu = np.array([weight_fn(np.asarray(c)) for c in sector.configs])
+    worst = 0.0
+    for r, c, v in zip(coo.row, coo.col, coo.data):
+        if r == c or v <= 0:
+            continue
+        flow = mu[r] * v
+        back = mu[c] * gen.matrix[c, r]
+        worst = max(worst, abs(flow - back) / max(scale, abs(flow)))
+    return worst
+
+
+@pytest.mark.parametrize("model,q", [("asip", 0.8), ("asip", 0.55),
+                                     ("sip", 1.0)])
+def test_detailed_balance_matches_per_entry_loop_bit_for_bit(model, q):
+    k = 0.75
+    for L in (3, 4, 5):
+        p = ModelParams(q=q, k=k, L=L)
+        alpha = 0.3 * models.alpha_max(p)
+
+        def reversible(eta):
+            return math.exp(sum(
+                math.log(models.asip_marginal_pmf(i + 1, int(n), p, alpha))
+                for i, n in enumerate(eta)))
+
+        def skewed(eta):
+            return 1.0 + float(np.dot(eta, np.arange(1, L + 1))) ** 1.5
+
+        for N in range(0, 5):
+            sec = cs.enumerate_sector(L, N)
+            for weight in (reversible, skewed):
+                new = models.detailed_balance_residual(sec, model, p, weight)
+                ref = _ref_detailed_balance_residual(sec, model, p, weight)
+                assert type(new) is float
+                assert np.float64(new).tobytes() == \
+                    np.float64(ref).tobytes(), (L, N, weight.__name__)
 
 
 def test_generator_rejects_unknown_model_and_length_mismatch():

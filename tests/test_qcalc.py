@@ -128,6 +128,13 @@ def test_skellam_degenerate_cases():
     assert qcalc.skellam_pmf(0, 0.0, 0.0) == 1.0
 
 
+@pytest.mark.parametrize("mu1,mu2", [(-0.5, 1.0), (1.0, math.nan),
+                                     (math.inf, 1.0), (math.nan, math.nan)])
+def test_skellam_rejects_bad_rates(mu1, mu2):
+    with pytest.raises(ValueError):
+        qcalc.skellam_pmf(0, mu1, mu2)
+
+
 def test_skellam_normalizes():
     ms = np.arange(-80, 81)
     assert qcalc.skellam_pmf(ms, 3.0, 5.0).sum() == pytest.approx(1.0,
