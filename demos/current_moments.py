@@ -19,15 +19,8 @@ W, half, t, reps = 20, 10, 1.0, 4000
 eta0 = np.array([2] * half + [0] * (W - half))
 theory = currents.q_moment_fixed_config(eta0, -half, 0, t, p)
 tables = models.edge_rate_table("asip", p, n_max=int(eta0.sum()))
-
-
-def job_step(rng, r):
-    log = engine.simulate_ctmc(tables, eta0, t, rng, record_events=False)
-    J = log.final_config()[half:].sum() - eta0[half:].sum()
-    return p.q ** (2.0 * J)
-
-
-res = engine.run_ensemble(job_step, reps, 11)
+res = engine.q_moment_ensemble(tables, lambda rng: eta0, half, p.q, t, reps,
+                               11)
 mc, se = float(res.mean[0]), float(res.se[0])
 print("step profile:    theory %.6f  mc %.6f +- %.6f  z = %+.2f"
       % (theory, mc, se, (mc - theory) / se))
@@ -35,16 +28,9 @@ print("step profile:    theory %.6f  mc %.6f +- %.6f  z = %+.2f"
 mu = [0.5, 0.5]
 theory = currents.q_moment_product(mu, t, p)
 tables = models.edge_rate_table("asip", p, n_max=W)
-
-
-def job_prod(rng, r):
-    eta = (rng.random(W) < 0.5).astype(int)
-    log = engine.simulate_ctmc(tables, eta, t, rng, record_events=False)
-    J = log.final_config()[half:].sum() - eta[half:].sum()
-    return p.q ** (2.0 * J)
-
-
-res = engine.run_ensemble(job_prod, reps, 12)
+res = engine.q_moment_ensemble(
+    tables, lambda rng: (rng.random(W) < 0.5).astype(int), half, p.q, t,
+    reps, 12)
 mc, se = float(res.mean[0]), float(res.se[0])
 print("Bernoulli(1/2):  theory %.6f  mc %.6f +- %.6f  z = %+.2f"
       % (theory, mc, se, (mc - theory) / se))

@@ -27,6 +27,8 @@ SUITES = ("duality", "algebra", "measures", "thermal", "limits")
 
 STOCHASTIC_COMMANDS = ("simulate", "current", "thermalize")
 
+EXP_MAX = math.log(sys.float_info.max)  # the largest x math.exp takes
+
 
 @dataclass
 class ExperimentSpec:
@@ -464,12 +466,22 @@ def cmd_current(spec):
         def init(rng):
             return (rng.random(W) < spec.bernoulli).astype(int)
     elif spec.formula == "energy-product":
-        lam_p = math.exp(2.0 * spec.sigma * spec.energy)
-        lam_m = math.exp(-2.0 * spec.sigma * spec.energy)
-        theory = currents.abep_moment_product(lam_p, lam_m, spec.t, spec.k)
-        bessel = currents.abep_moment_fixed(
-            np.full(4 * spec.window, spec.energy), -2 * spec.window, 0,
-            spec.t, spec.k, spec.sigma)
+        tilt = _energy_tilt(spec)
+        # the series raises on a power lam^l past a float, the walker sum
+        # on e^(2 sigma E_bond), E_bond = 2 * window * energy
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                theory = currents.abep_moment_product(
+                    math.exp(tilt), math.exp(-tilt), spec.t, spec.k)
+                bessel = currents.abep_moment_fixed(
+                    np.full(4 * spec.window, spec.energy), -2 * spec.window,
+                    0, spec.t, spec.k, spec.sigma)
+        except OverflowError:
+            theory = bessel = math.inf
+        if not (math.isfinite(theory) and math.isfinite(bessel)):
+            raise SystemExit("the energy moments overflow a float at "
+                             "2 * --sigma * --energy = %g, --window %d"
+                             % (tilt, spec.window))
         rows.append("%s,%s,%s,%s,%s,%s" % (
             "energy-product", currents.param_hash(
                 "energy-product", spec.sigma, spec.k, spec.t, spec.energy),
@@ -480,16 +492,8 @@ def cmd_current(spec):
     else:
         raise SystemExit("unknown formula %r" % spec.formula)
 
-    def job(rng, r):
-        eta = init(rng)
-        log = engine.simulate_ctmc(tables, eta, spec.t, rng,
-                                   record_events=False)
-        keep = half + spec.bond
-        J = log.final_config()[keep:].sum() - eta[keep:].sum()
-        return spec.q ** (2.0 * J)
-
-    res = engine.run_ensemble(job, spec.replicas, spec.seed,
-                              workers=spec.workers)
+    res = engine.q_moment_ensemble(tables, init, half + spec.bond, spec.q,
+                                   spec.t, spec.replicas, spec.seed)
     mc, se = float(res.mean[0]), float(res.se[0])
     row = currents.comparison_row(spec.formula, digest, theory, mc, se)
     rows.append("%s,%s,%s,%s,%s,%s" % (
@@ -501,9 +505,22 @@ def cmd_current(spec):
 
 # ------------------------------------------------------------------ rate
 
+def _energy_tilt(spec):
+    """``2 * sigma * energy``, rejected unless finite and inside the range
+    of ``math.exp`` for either sign."""
+    if not math.isfinite(spec.energy):
+        raise SystemExit("need a finite --energy")
+    tilt = 2.0 * spec.sigma * spec.energy
+    if not abs(tilt) <= EXP_MAX:
+        raise SystemExit("need 2 * --sigma * |--energy| <= %.6g" % EXP_MAX)
+    return tilt
+
+
 def cmd_rate(spec):
     if spec.points < 1:
         raise SystemExit("need a nonempty grid (points >= 1)")
+    if not all(map(math.isfinite, (spec.x_min, spec.x_max, spec.energy))):
+        raise SystemExit("need a finite --x-min, --x-max and --energy")
     if spec.model == "asip":
         a, b = currents.walker_rates(spec.q, spec.k)
         mu = [1.0 - spec.bernoulli, spec.bernoulli]
@@ -511,15 +528,19 @@ def cmd_rate(spec):
         log_factor = math.log(spec.q ** (-4.0 * spec.k) * lam_inv)
     elif spec.model == "sip":
         a = b = 2.0 * spec.k
-        log_factor = 2.0 * spec.sigma * spec.energy
+        log_factor = _energy_tilt(spec)
     else:
         raise SystemExit("rate tables exist for models asip and sip")
     xs = np.linspace(spec.x_min, spec.x_max, spec.points)
-    lines = ["x,I(x)"]
-    lines += ["%s,%s" % (_fmt(x), _fmt(currents.rate_function(x, a, b)))
-              for x in xs]
+    with np.errstate(over="ignore", invalid="ignore"):
+        rates = [currents.rate_function(x, a, b) for x in xs]
     limit = currents.growth_rate(log_factor, a, b)
     inf = 0.0 if a >= b else currents.rate_function(0.0, a, b)
+    if not all(map(math.isfinite, rates + [limit, inf])):
+        raise SystemExit("the rate table overflows a float; narrow "
+                         "--x-min .. --x-max or lower 2 * --sigma * --energy")
+    lines = ["x,I(x)"]
+    lines += ["%s,%s" % (_fmt(x), _fmt(r)) for x, r in zip(xs, rates)]
     lines.append("sup,inf,limit")
     lines.append("%s,%s,%s" % (_fmt(limit), _fmt(inf), _fmt(limit)))
     _emit(spec.out, lines)
@@ -641,7 +662,10 @@ def build_parser():
     c.add_argument("--bernoulli", type=float)
     c.add_argument("--energy", type=float)
     c.add_argument("--replicas", type=int)
-    c.add_argument("--workers", type=int)
+    c.add_argument("--workers", type=int,
+                   help="accepted and ignored: replicas run in lockstep "
+                        "blocks in one thread, and the output does not "
+                        "depend on this value")
 
     r = sp.add_parser("rate", help="rate function grid and growth rate")
     _add_common(r)

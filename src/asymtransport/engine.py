@@ -5,31 +5,42 @@ Exp(total rate) time, pick a transition with probability proportional to its
 rate.  Edge rates are updated incrementally (a jump at edge i only changes
 the rates of edges i-1, i, i+1), so each event costs O(1) rate evaluations.
 
-The event loop is scalar Python over lists: on chains of tens of sites
-NumPy's per-call overhead would dominate each event.  It still reproduces the array formulation (``rates.sum()``,
-``np.searchsorted(np.cumsum(rates), u)``) bit for bit: the total rate is
-summed in NumPy's own float64 order and the pick uses sequential running
-sums, so event times and jump choices do not depend on which of the two
-computes them.
+There are two event loops, and they agree bit for bit:
+
+* ``simulate_ctmc`` runs one replica as scalar Python over lists and can
+  record its event log; on chains of tens of sites NumPy's per-call
+  overhead would dominate each event.
+* ``simulate_batch`` advances a block of replicas in lockstep as arrays,
+  one NumPy call per step for the whole block, so the Python overhead of
+  an event is shared by every live replica.  ``q_moment_ensemble`` runs
+  the current-moment Monte Carlo through it.
+
+Both reproduce the array formulation (``rates.sum()``,
+``np.searchsorted(np.cumsum(rates), u)``): the total rate is summed in
+NumPy's own float64 order and the pick uses sequential running sums, so
+event times and jump choices do not depend on which loop computes them.
 
 Reproducibility contract: every replica draws from its own counter-based
-stream keyed by (master seed, replica index), and ensemble reduction always
-runs in replica order, so results are byte-identical for any worker count.
+stream keyed by (master seed, replica index), in the same order in both
+loops, and ensemble reduction always runs in replica order, so results
+are byte-identical however the replicas are split into blocks.
 """
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from itertools import accumulate
+from itertools import accumulate, compress
 import math
 
 import numpy as np
 
 __all__ = [
-    "SeedTree", "TrajectoryLog", "simulate_ctmc", "simulate_dual_walker",
-    "run_ensemble", "EnsembleResult",
+    "SeedTree", "TrajectoryLog", "simulate_ctmc", "simulate_batch",
+    "simulate_dual_walker", "run_ensemble", "q_moment_ensemble",
+    "EnsembleResult",
 ]
 
 OCCUPANCY_CAP = 10_000
+BATCH = 2048  # replicas that q_moment_ensemble advances in lockstep
 
 
 class SeedTree:
@@ -244,6 +255,120 @@ def simulate_ctmc(rates_spec, eta0, t_max, rng, occupancy_cap=OCCUPANCY_CAP,
     return log
 
 
+def simulate_batch(tables, eta0s, t_max, rngs):
+    """Advance a block of replicas of a table-driven chain in lockstep;
+    returns ``(finals, n_events)``, one row and one count per replica.
+
+    Replica r starts from ``eta0s[r]`` and draws from ``rngs[r]``.  Its
+    final configuration, its event count and the state it leaves its
+    stream in are those of ``simulate_ctmc(tables, eta0s[r], t_max,
+    rngs[r], record_events=False)``, bit for bit:
+
+    * the live replicas' edge rates form one array; the totals are
+      ``np.add.reduce`` along its rows, which sums each row in the order
+      ``_pairwise_sum`` reproduces;
+    * each replica draws ``standard_exponential()``, scaled by
+      ``1/total`` as ``exponential(1/total)`` scales it, and then
+      ``random()``, from its own stream and in the scalar loop's order;
+    * the jump is the number of running sums (``np.cumsum``, in order)
+      below ``u``, clamped to the last rate, which is the scalar pick;
+    * a jump refreshes the three edges around it by one table gather.
+      A ghost site and a ghost edge at each end of the chain make that
+      gather the same for every edge; ghost rates are never summed.
+
+    A replica whose total rate is 0 or whose clock passes ``t_max`` is
+    compacted out of the live arrays.  Replicas are independent, so an
+    ensemble split into blocks of any size gives the same bits.
+
+    Parameters
+    ----------
+    tables : (array, array)
+        Occupancy-indexed edge-rate tables ``(right[na, nb], left[na, nb])``
+        as ``models.edge_rate_table`` builds them.  A site holding more
+        than the tables cover (or ``OCCUPANCY_CAP``) raises
+        ``RuntimeError``, as in ``simulate_ctmc``.
+    eta0s : (R, L) array_like of int
+    t_max : float
+        Finite and >= 0, else ``ValueError``.
+    rngs : sequence of R numpy Generators
+    """
+    if not 0.0 <= t_max < math.inf:
+        raise ValueError("need a finite time horizon t_max >= 0")
+    table_r, table_l = tables
+    size = table_r.shape[0]
+    cap = min(OCCUPANCY_CAP, size - 1)
+    pair = np.stack((table_r, table_l), axis=-1).reshape(size * size, 2)
+    finals = np.array(eta0s, dtype=int)
+    if finals.max(initial=0) > cap:
+        raise RuntimeError("occupancy cap %d exceeded" % cap)
+    n_events = np.zeros(len(finals), dtype=int)
+    L = finals.shape[1]
+    width = 2 * (L + 1)
+    # Padded sites 0 and L + 1 stay empty.  Row entries 2p and 2p + 1 of
+    # ``rates`` are the right and left rates of padded edge p, which joins
+    # padded sites p and p + 1: real edge e is padded edge e + 1, and the
+    # ghost edges 0 and L lie outside the view ``rates[:, 2:-2]``.
+    eta = np.zeros((len(finals), L + 2), dtype=int)
+    eta[:, 1:-1] = finals
+    rates = pair[eta[:, :-1] * size + eta[:, 1:]].reshape(-1, width)
+    # the last running sum is replaced by inf, so the first one >= u is
+    # the scalar loop's pick clamped to the last rate
+    cums = np.full((len(finals), width - 4), math.inf)
+    live = np.arange(len(finals))
+    t = np.zeros(len(finals))
+    exp_draws = [g.standard_exponential for g in rngs]
+    unif_draws = [g.random for g in rngs]
+    # no site can pass the cap while no replica holds more particles
+    guard = finals.sum(axis=1).max(initial=0) > cap
+    window, refresh = np.arange(-1, 3), np.arange(6)
+    step = 0
+
+    def retire(stop):
+        nonlocal live, eta, rates, t, total, exp_draws, unif_draws
+        gone = live[stop]
+        finals[gone] = eta[stop, 1:-1]
+        n_events[gone] = step
+        keep = ~stop
+        live, eta, rates, t, total = (live[keep], eta[keep], rates[keep],
+                                      t[keep], total[keep])
+        kept = keep.tolist()
+        exp_draws = list(compress(exp_draws, kept))
+        unif_draws = list(compress(unif_draws, kept))
+
+    while True:
+        total = np.add.reduce(rates[:, 2:-2], axis=1)
+        stop = total <= 0.0
+        if stop.any():
+            retire(stop)
+        t += np.array([f() for f in exp_draws]) * (1.0 / total)
+        stop = t > t_max
+        if stop.any():
+            retire(stop)
+        n = len(live)
+        if not n:
+            return finals, n_events
+        u = np.array([f() for f in unif_draws]) * total
+        np.cumsum(rates[:, 2:-3], axis=1, out=cums[:n, :-1])
+        j = (cums[:n] < u[:, None]).argmin(axis=1)
+        # flat index of the jump's left padded site, and +1 for a jump to
+        # the left (odd j), -1 for a jump to the right
+        left = j & 1
+        site = np.arange(1, n * (L + 2), L + 2) + (j >> 1)
+        move = 2 * left - 1
+        flat = eta.reshape(-1)
+        flat[site] += move
+        flat[site + 1] -= move
+        if guard and flat[site + 1 - left].max() > cap:
+            raise RuntimeError("occupancy cap %d exceeded" % cap)
+        # padded sites p - 1 .. p + 2 fix the rates of edges p - 1 .. p + 1,
+        # which are row entries 2p - 2 .. 2p + 3 = j - left + 0 .. 5
+        near = flat.take(site[:, None] + window)
+        codes = near[:, :3] * size + near[:, 1:]
+        at = np.arange(0, n * width, width) + (j - left)
+        rates.reshape(-1).put(at[:, None] + refresh, pair.take(codes, axis=0))
+        step += 1
+
+
 def simulate_dual_walker(kind, start, t, params, rng):
     """Final position of a single dual walker on the integers.
 
@@ -271,19 +396,30 @@ class EnsembleResult:
     replicas: int
 
 
+def _reduce(values):
+    """Mean and standard error over the first axis of the (replicas, ...)
+    array ``values``, which holds the replicas in index order."""
+    replicas = len(values)
+    mean = values.mean(axis=0)
+    if replicas > 1:
+        se = values.std(axis=0, ddof=1) / math.sqrt(replicas)
+    else:
+        se = np.full_like(mean, np.nan)
+    return EnsembleResult(mean=mean, se=se, replicas=replicas)
+
+
 def run_ensemble(job, replicas, master_seed, workers=1):
     """Run ``job(rng, replica) -> scalar or vector`` over independent
     replicas and reduce to mean and standard error.
 
     The result is a deterministic function of (job, replicas, master_seed):
     replica r always uses the stream keyed (master_seed, r), and the
-    reduction sums a preallocated array in index order.
+    reduction runs over a preallocated array in index order.
 
-    Replicas run in order in the calling thread; ``workers`` is accepted
-    and not used.  The event loop is plain Python that holds the
-    interpreter lock for every event, so worker threads could only pass
-    that lock back and forth, which slows each request and makes its
-    time depend on how the OS schedules the threads.
+    Replicas run one after another in the calling thread, each through
+    ``job``; ``workers`` is accepted and not used.  Current moments do
+    not come through here: ``q_moment_ensemble`` advances their replicas
+    in lockstep blocks with ``simulate_batch``.
     """
     if replicas < 1:
         raise ValueError("need replicas >= 1")
@@ -297,9 +433,29 @@ def run_ensemble(job, replicas, master_seed, workers=1):
     values[0] = first
     for r in range(1, replicas):
         values[r] = one(r)
-    mean = values.mean(axis=0)
-    if replicas > 1:
-        se = values.std(axis=0, ddof=1) / math.sqrt(replicas)
-    else:
-        se = np.full_like(mean, np.nan)
-    return EnsembleResult(mean=mean, se=se, replicas=replicas)
+    return _reduce(values)
+
+
+def q_moment_ensemble(tables, init, site, q, t_max, replicas, master_seed):
+    """Monte Carlo estimate of E[q^{2J}], J the net number of particles
+    that enter sites ``site, site + 1, ...`` of the chain by ``t_max``.
+
+    Replica r draws its initial configuration ``init(rng)`` from the
+    stream keyed (master_seed, r), then its trajectory from the same
+    stream.  Blocks of ``BATCH`` replicas run through ``simulate_batch``,
+    and each replica's q^{2J} is ``q ** (2.0 * J)`` with J a NumPy
+    integer, so the result is bit for bit that of ``run_ensemble`` over
+    ``simulate_ctmc`` trajectories.
+    """
+    if replicas < 1:
+        raise ValueError("need replicas >= 1")
+    tree = SeedTree(master_seed)
+    values = np.empty((replicas, 1))
+    for start in range(0, replicas, BATCH):
+        rngs = [tree.stream(r)
+                for r in range(start, min(start + BATCH, replicas))]
+        eta0s = np.array([init(rng) for rng in rngs], dtype=int)
+        finals, _ = simulate_batch(tables, eta0s, t_max, rngs)
+        J = finals[:, site:].sum(axis=1) - eta0s[:, site:].sum(axis=1)
+        values[start:start + len(rngs), 0] = [q ** (2.0 * j) for j in J]
+    return _reduce(values)

@@ -139,28 +139,16 @@ def test_criterion_06_current_moments_vs_mc():
     eta0 = np.array([2] * half + [0] * (W - half))
     theory_step = currents.q_moment_fixed_config(eta0, -half, 0, t, p)
     tables = models.edge_rate_table("asip", p, n_max=int(eta0.sum()))
-
-    def job_step(rng, r):
-        log = engine.simulate_ctmc(tables, eta0, t, rng,
-                                   record_events=False)
-        J = log.final_config()[half:].sum() - eta0[half:].sum()
-        return p.q ** (2.0 * J)
-
-    res = engine.run_ensemble(job_step, reps, 2026)
+    res = engine.q_moment_ensemble(tables, lambda rng: eta0, half, p.q, t,
+                                   reps, 2026)
     z_step = (float(res.mean[0]) - theory_step) / float(res.se[0])
 
     mu = [0.5, 0.5]
     theory_prod = currents.q_moment_product(mu, t, p)
     tables_p = models.edge_rate_table("asip", p, n_max=W)
-
-    def job_prod(rng, r):
-        eta = (rng.random(W) < 0.5).astype(int)
-        log = engine.simulate_ctmc(tables_p, eta, t, rng,
-                                   record_events=False)
-        J = log.final_config()[half:].sum() - eta[half:].sum()
-        return p.q ** (2.0 * J)
-
-    res = engine.run_ensemble(job_prod, reps, 2027)
+    res = engine.q_moment_ensemble(
+        tables_p, lambda rng: (rng.random(W) < 0.5).astype(int), half, p.q,
+        t, reps, 2027)
     z_prod = (float(res.mean[0]) - theory_prod) / float(res.se[0])
 
     # energy moment: product form against the direct walker sum

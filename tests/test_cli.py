@@ -303,6 +303,18 @@ def test_current_bad_monte_carlo_input_rejected(tmp_path, formula, bad):
     ["rate", "--model", "asip", "--bernoulli", "nan"],
     ["current", "--formula", "energy-product", "--t", "nan"],
     ["current", "--formula", "energy-product", "--sigma", "-1"],
+    ["current", "--formula", "energy-product", "--energy", "nan"],
+    ["current", "--formula", "energy-product", "--sigma", "1",
+     "--energy", "1e6"],
+    ["current", "--formula", "energy-product", "--sigma", "1",
+     "--energy", "20"],
+    ["current", "--formula", "energy-product", "--sigma", "1",
+     "--energy", "2", "--window", "160"],
+    ["rate", "--model", "asip", "--x-min", "nan", "--points", "3"],
+    ["rate", "--model", "asip", "--x-max", "inf", "--points", "2"],
+    ["rate", "--model", "sip", "--energy", "nan"],
+    ["rate", "--model", "sip", "--sigma", "1", "--energy", "1e6"],
+    ["rate", "--model", "asip", "--x-max", "1e308", "--points", "2"],
 ])
 def test_bad_sampler_and_simulate_input_rejected(tmp_path, argv):
     out = tmp_path / "out.csv"

@@ -3,6 +3,8 @@ reproducibility contract, and trajectory serialization."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import linalg, stats
 
 from asymtransport import configspace as cs
@@ -48,6 +50,11 @@ def test_pairwise_sum_matches_numpy_bit_for_bit():
             x = rng.random(n) * scale
             x[rng.random(n) < 0.5] = 0.0
             assert engine._pairwise_sum(x.tolist()) == np.add.reduce(x), n
+            # simulate_batch sums rows of a padded 2-D view
+            block = np.zeros((3, n + 4))
+            block[:, 2:-2] = x
+            assert (np.add.reduce(block[:, 2:-2], axis=1)
+                    == engine._pairwise_sum(x.tolist())).all(), n
 
 
 def test_event_count_with_and_without_recording():
@@ -106,6 +113,9 @@ def test_horizon_must_be_finite_and_nonnegative(t_max):
     with pytest.raises(ValueError):
         engine.simulate_ctmc(_tables(p, 3), np.array([2, 1, 0]), t_max,
                              engine.SeedTree(1).stream(0))
+    with pytest.raises(ValueError):
+        engine.simulate_batch(_tables(p, 3), [[2, 1, 0]], t_max,
+                              [engine.SeedTree(1).stream(0)])
 
 
 def test_occupancy_cap_guard():
@@ -198,3 +208,133 @@ def test_marginal_law_against_matrix_exponential():
 def test_replicas_must_be_positive():
     with pytest.raises(ValueError):
         engine.run_ensemble(lambda rng, r: 0.0, 0, 1)
+
+
+# ------------------------------------------------- lockstep batch loop
+
+def _stream_state(rng):
+    s = rng.bit_generator.state
+    return (s["state"]["counter"].tolist(), s["state"]["key"].tolist(),
+            s["buffer"].tolist(), s["buffer_pos"], s["has_uint32"],
+            s["uinteger"])
+
+
+def _scalar_runs(tables, init, t_max, replicas, seed):
+    """Per replica (final, n_events, stream state) of simulate_ctmc: the
+    reference simulate_batch must reproduce bit for bit."""
+    tree = engine.SeedTree(seed)
+    out = []
+    for r in range(replicas):
+        rng = tree.stream(r)
+        log = engine.simulate_ctmc(tables, init(rng), t_max, rng,
+                                   record_events=False)
+        out.append((log.final.tolist(), log.n_events, _stream_state(rng)))
+    return out
+
+
+def _batch_runs(tables, init, t_max, replicas, seed):
+    tree = engine.SeedTree(seed)
+    rngs = [tree.stream(r) for r in range(replicas)]
+    eta0s = [init(rng) for rng in rngs]
+    finals, n_events = engine.simulate_batch(tables, eta0s, t_max, rngs)
+    return [(f.tolist(), int(n), _stream_state(g))
+            for f, n, g in zip(finals, n_events, rngs)]
+
+
+def _fixed(eta0s):
+    """``init(rng)`` that hands out the rows of eta0s in replica order."""
+    rows = iter(eta0s)
+    return lambda rng: np.array(next(rows))
+
+
+def _current_case(formula, W, q=0.8, k=0.5):
+    """(tables, init) of the q-step or q-product current request."""
+    p = ModelParams(q=q, k=k)
+    if formula == "q-step":
+        eta0 = np.array([2] * (W // 2) + [0] * (W - W // 2))
+        return _tables(p, int(eta0.sum())), lambda rng: eta0
+    return _tables(p, W), lambda rng: (rng.random(W) < 0.5).astype(int)
+
+
+@pytest.mark.parametrize("replicas", [1, 2, 47, engine.BATCH + 1])
+@pytest.mark.parametrize("formula", ["q-step", "q-product"])
+def test_batch_matches_scalar_loop(formula, replicas):
+    tables, init = _current_case(formula, 16)
+    ref = _scalar_runs(tables, init, 1.0, replicas, 31)
+    assert _batch_runs(tables, init, 1.0, replicas, 31) == ref
+    assert sum(n for _, n, _ in ref) > replicas
+
+
+@pytest.mark.parametrize("eta0s", [
+    [[0, 0, 0, 0]] * 3,          # no particles: total rate 0
+    [[3]] * 2,                   # one site: no edges
+    [[0, 0, 0, 0, 0, 0], [0, 0, 0, 0, 0, 1], [3, 3, 3, 3, 3, 3],
+     [0, 0, 0, 0, 0, 0], [1, 0, 0, 0, 0, 0]],   # stop at very different steps
+])
+@pytest.mark.parametrize("t_max", [0.0, 0.3, 4.0])
+def test_batch_matches_scalar_on_frozen_and_ragged_blocks(eta0s, t_max):
+    p = ModelParams(q=0.7, k=1.0)
+    tables = _tables(p, 18)
+    ref = _scalar_runs(tables, _fixed(eta0s), t_max, len(eta0s), 4)
+    got = _batch_runs(tables, _fixed(eta0s), t_max, len(eta0s), 4)
+    assert got == ref
+    if t_max == 0.0 or sum(map(sum, eta0s)) == 0:
+        assert all(n == 0 for _, n, _ in got)
+
+
+def test_batch_truncated_table_raises_occupancy_cap():
+    p = ModelParams(q=0.8, k=0.5)
+    tables = _tables(p, 3)
+    eta0 = np.array([2, 2])
+    with pytest.raises(RuntimeError, match="occupancy cap 3 exceeded"):
+        engine.simulate_ctmc(tables, eta0, 50.0, engine.SeedTree(2).stream(0))
+    with pytest.raises(RuntimeError, match="occupancy cap 3 exceeded"):
+        engine.simulate_batch(tables, [eta0] * 3, 50.0,
+                              [engine.SeedTree(2).stream(r) for r in range(3)])
+    with pytest.raises(RuntimeError, match="occupancy cap 3 exceeded"):
+        engine.simulate_batch(tables, [[4, 0]], 1.0,
+                              [engine.SeedTree(2).stream(0)])
+
+
+@pytest.mark.parametrize("replicas", [1, 2, engine.BATCH + 1])
+@pytest.mark.parametrize("formula", ["q-step", "q-product"])
+def test_q_moment_ensemble_matches_run_ensemble(formula, replicas):
+    # the ensemble helper runs blocks of BATCH replicas through
+    # simulate_batch; the reference is the per-replica job it replaced
+    W, site, q, t = 12, 6, 0.8, 0.7
+    tables, init = _current_case(formula, W)
+
+    def job(rng, r):
+        eta = init(rng)
+        log = engine.simulate_ctmc(tables, eta, t, rng, record_events=False)
+        J = log.final_config()[site:].sum() - eta[site:].sum()
+        return q ** (2.0 * J)
+
+    ref = engine.run_ensemble(job, replicas, 23)
+    got = engine.q_moment_ensemble(tables, init, site, q, t, replicas, 23)
+    assert got.replicas == ref.replicas == replicas
+    assert np.array_equal(got.mean, ref.mean)
+    assert np.array_equal(got.se, ref.se, equal_nan=True)
+
+
+@settings(max_examples=150, deadline=2000)
+@given(data=st.data(), L=st.integers(1, 6), replicas=st.integers(1, 5),
+       model=st.sampled_from(["asip", "sip", "qtazrp"]),
+       q=st.floats(0.3, 1.0), k=st.floats(0.25, 2.0),
+       t_max=st.floats(0.0, 2.0), seed=st.integers(0, 2**32))
+def test_batch_matches_scalar_on_random_chains(data, L, replicas, model, q,
+                                               k, t_max, seed):
+    eta0s = data.draw(st.lists(st.lists(st.integers(0, 3), min_size=L,
+                                        max_size=L),
+                               min_size=replicas, max_size=replicas))
+    n_max = data.draw(st.integers(max(map(max, eta0s)),
+                                  max(map(sum, eta0s)) + 1))
+    tables = models.edge_rate_table(model, ModelParams(q=q, k=k), n_max)
+
+    def run(runner):
+        try:
+            return runner(tables, _fixed(eta0s), t_max, replicas, seed)
+        except RuntimeError as exc:  # a table that stops short of a site
+            return str(exc)
+
+    assert run(_batch_runs) == run(_scalar_runs)
