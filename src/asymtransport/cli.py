@@ -29,6 +29,10 @@ STOCHASTIC_COMMANDS = ("simulate", "current", "thermalize")
 
 EXP_MAX = math.log(sys.float_info.max)  # the largest x math.exp takes
 
+# Largest occupancy an edge-rate table covers: (n + 1)^2 entries, one
+# rate call each, 16 MB for the pair at n = 1000.
+TABLE_MAX = 1000
+
 
 @dataclass
 class ExperimentSpec:
@@ -45,7 +49,6 @@ class ExperimentSpec:
     n: int = 3
     init: str = ""
     t: float = 1.0
-    times: str = ""
     bond: int = 0
     window: int = 40
     formula: str = "q-step"
@@ -54,7 +57,6 @@ class ExperimentSpec:
     x_max: float = 4.0
     points: int = 21
     sampler: str = "qbetabinom"
-    alpha: float = 0.3
     energy: float = 1.0
     bins: int = 20
     samples: int = 10000
@@ -85,7 +87,7 @@ class ExperimentSpec:
             if f.name == "command" or f.name not in cp[command]:
                 continue
             raw = cp[command][f.name]
-            if f.type is str or f.name in ("init", "times", "out"):
+            if f.type is str or f.name in ("init", "out"):
                 setattr(spec, f.name, raw.strip("'\""))
             elif f.type is int:
                 setattr(spec, f.name, int(raw))
@@ -410,15 +412,22 @@ def cmd_simulate(spec):
     if spec.replicas < 1:
         raise SystemExit("need --replicas >= 1")
     eta0 = _initial_config(spec)
+    n_max = int(eta0.sum())
+    if n_max > TABLE_MAX:
+        raise SystemExit("need at most %d particles in all (the rate "
+                         "tables hold (particles + 1)^2 entries)" % TABLE_MAX)
     p = ModelParams(q=spec.q, k=spec.k, sigma=spec.sigma, L=len(eta0))
-    tables = models.edge_rate_table(spec.model, p,
-                                    n_max=int(eta0.sum()))
+    tables = models.edge_rate_table(spec.model, p, n_max=n_max)
     tree = engine.SeedTree(spec.seed)
     lines = ["replica,time,edge,direction"]
-    for r in range(spec.replicas):
-        log = engine.simulate_ctmc(tables, eta0, spec.t, tree.stream(r))
-        for t, edge, direction in log.events:
-            lines.append("%d,%s,%d,%d" % (r, _fmt(t), edge, direction))
+    for start in range(0, spec.replicas, engine.BATCH):
+        block = range(start, min(start + engine.BATCH, spec.replicas))
+        rngs = [tree.stream(r) for r in block]
+        _, _, events = engine.simulate_batch(
+            tables, [eta0] * len(rngs), spec.t, rngs, record_events=True)
+        for r, log in zip(block, events):
+            lines.extend("%d,%s,%d,%d" % (r, _fmt(t), edge, direction)
+                         for t, edge, direction in log)
     _emit(spec.out, lines)
     return 0
 
@@ -437,6 +446,9 @@ def _check_monte_carlo(spec):
         raise SystemExit("need --window >= 2 and a --bond inside the window "
                          "(%d <= bond <= %d)"
                          % (1 - half, spec.window - half - 1))
+    if spec.window > TABLE_MAX:
+        raise SystemExit("need --window <= %d (the rate tables hold "
+                         "(window + 1)^2 entries)" % TABLE_MAX)
 
 
 def cmd_current(spec):
@@ -482,6 +494,14 @@ def cmd_current(spec):
             raise SystemExit("the energy moments overflow a float at "
                              "2 * --sigma * --energy = %g, --window %d"
                              % (tilt, spec.window))
+        # the walker sum covers 4 * window sites, too few to stand for the
+        # homogeneous profile when the tilt is large
+        if abs(theory - bessel) > 1e-8 * abs(theory):
+            raise SystemExit("the %d-site walker sum misses the product "
+                             "formula by a relative %.2g at 2 * --sigma * "
+                             "--energy = %g; raise --window or lower the tilt"
+                             % (4 * spec.window,
+                                abs(theory - bessel) / abs(theory), tilt))
         rows.append("%s,%s,%s,%s,%s,%s" % (
             "energy-product", currents.param_hash(
                 "energy-product", spec.sigma, spec.k, spec.t, spec.energy),

@@ -5,30 +5,26 @@ Exp(total rate) time, pick a transition with probability proportional to its
 rate.  Edge rates are updated incrementally (a jump at edge i only changes
 the rates of edges i-1, i, i+1), so each event costs O(1) rate evaluations.
 
-There are two event loops, and they agree bit for bit:
+There is one event loop, ``simulate_batch``.  It advances a block of
+replicas in lockstep as arrays, one NumPy call per step for the whole
+block, so the Python overhead of an event is shared by every live
+replica.  ``simulate_ctmc`` runs one replica through it and returns its
+event log, and ``q_moment_ensemble`` runs the current-moment Monte Carlo
+through it.
 
-* ``simulate_ctmc`` runs one replica as scalar Python over lists and can
-  record its event log; on chains of tens of sites NumPy's per-call
-  overhead would dominate each event.
-* ``simulate_batch`` advances a block of replicas in lockstep as arrays,
-  one NumPy call per step for the whole block, so the Python overhead of
-  an event is shared by every live replica.  ``q_moment_ensemble`` runs
-  the current-moment Monte Carlo through it.
-
-Both reproduce the array formulation (``rates.sum()``,
-``np.searchsorted(np.cumsum(rates), u)``): the total rate is summed in
+Each replica follows the one-replica array formulation (``rates.sum()``,
+``np.searchsorted(np.cumsum(rates), u)``): its total rate is summed in
 NumPy's own float64 order and the pick uses sequential running sums, so
-event times and jump choices do not depend on which loop computes them.
+its event times and jump choices do not depend on the block it runs in.
 
 Reproducibility contract: every replica draws from its own counter-based
-stream keyed by (master seed, replica index), in the same order in both
-loops, and ensemble reduction always runs in replica order, so results
-are byte-identical however the replicas are split into blocks.
+stream keyed by (master seed, replica index), and ensemble reduction
+always runs in replica order, so results are byte-identical however the
+replicas are split into blocks.
 """
 
-from bisect import bisect_left
 from dataclasses import dataclass, field
-from itertools import accumulate, compress
+from itertools import compress
 import math
 
 import numpy as np
@@ -39,7 +35,6 @@ __all__ = [
     "EnsembleResult",
 ]
 
-OCCUPANCY_CAP = 10_000
 BATCH = 2048  # replicas that q_moment_ensemble advances in lockstep
 
 
@@ -104,174 +99,41 @@ class TrajectoryLog:
         return out
 
 
-def _pairwise_sum(x):
-    """Sum of the list of floats ``x``, rounded exactly as NumPy's float64
-    ``np.add.reduce`` rounds it.
+def simulate_ctmc(tables, eta0, t_max, rng, record_events=True):
+    """Simulate one replica exactly: ``simulate_batch`` on a block of one,
+    returned as a ``TrajectoryLog``.
 
-    NumPy sums fewer than 8 items in order.  From 8 to 128 items it keeps 8
-    strided accumulators, combines them as
-    ``((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))`` and adds the remainder in
-    order.  Above 128 it splits at ``n//2 - (n//2)%8`` and recurses.
-    The builtin ``sum`` is not used: from Python 3.12 on it compensates.
+    ``n_events`` is set either way; with ``record_events`` False the
+    event list is left empty (currents are still recoverable from the
+    tail-count change between the initial and final configurations).
     """
-    n = len(x)
-    if n < 8:
-        s = 0.0
-        for v in x:
-            s += v
-        return s
-    if n > 128:
-        mid = n // 2 - (n // 2) % 8
-        return _pairwise_sum(x[:mid]) + _pairwise_sum(x[mid:])
-    it = iter(x)
-    rows = zip(it, it, it, it, it, it, it, it)  # drops the n % 8 left over
-    r0, r1, r2, r3, r4, r5, r6, r7 = next(rows)
-    for a0, a1, a2, a3, a4, a5, a6, a7 in rows:
-        r0 += a0
-        r1 += a1
-        r2 += a2
-        r3 += a3
-        r4 += a4
-        r5 += a5
-        r6 += a6
-        r7 += a7
-    s = ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
-    for v in x[n - n % 8:]:
-        s += v
-    return s
-
-
-def simulate_ctmc(rates_spec, eta0, t_max, rng, occupancy_cap=OCCUPANCY_CAP,
-                  record_events=True):
-    """Simulate a discrete edge-jump process exactly.
-
-    The event loop is plain Python over lists: the occupancies, the
-    ``2*(L-1)`` edge rates ``[right_1, left_1, right_2, ...]`` and their
-    sequential running sums.  A jump at edge i refreshes the rates of
-    edges i-1, i, i+1; the running sums from there on are recomputed only
-    when a later pick lands beyond the part still valid.  The total rate
-    is summed in NumPy's float64 order (``_pairwise_sum``) and the jump is
-    the first rate whose running sum reaches ``u = U * total``, clamped to
-    the last rate, exactly as ``searchsorted(cumsum, u)`` picks it.  Event
-    times and choices are therefore bit for bit those of the array
-    formulation with ``rates.sum()`` and ``np.cumsum``.
-
-    Parameters
-    ----------
-    rates_spec : callable or (array, array)
-        Either ``rate_fn(eta, i) -> (rate_right, rate_left)`` for 1-based
-        edge i on a closed chain, with ``eta`` an integer array, or a pair
-        of occupancy-indexed lookup tables ``(right[na, nb], left[na, nb])``
-        giving the edge rates for left/right site occupancies (na, nb).
-        Tables are the fast path for Monte Carlo runs: each refresh is two
-        list lookups instead of a rate-function call.
-    eta0 : array_like of int
-    t_max : float
-        Finite and >= 0, else ``ValueError``: the clock never passes a
-        NaN or infinite horizon.
-    rng : numpy Generator
-        Each event draws ``rng.exponential`` then ``rng.random``.
-    occupancy_cap : int
-        Aborts if any site exceeds this (runaway clustering guard).
-    record_events : bool
-        When False the event list is left empty (currents are still
-        recoverable from the tail-count change between the initial and
-        final configurations); ``n_events`` is counted either way.
-    """
-    if not 0.0 <= t_max < math.inf:
-        raise ValueError("need a finite time horizon t_max >= 0")
     initial = np.asarray(eta0, dtype=int).copy()
-    eta = initial.tolist()
-    n_edges = len(eta) - 1
-    n = 2 * n_edges
-    rates = [0.0] * n
-    if callable(rates_spec):
-        cap = occupancy_cap
-
-        def refresh(lo, hi):
-            view = np.array(eta)
-            for e in range(lo, hi):
-                r, l = rates_spec(view, e + 1)
-                rates[2 * e] = float(r)
-                rates[2 * e + 1] = float(l)
-    else:
-        table_r, table_l = rates_spec
-        cap = min(occupancy_cap, table_r.shape[0] - 1)
-        top = sum(eta) + 1  # no site ever holds more than every particle
-        right = table_r[:top, :top].tolist()
-        left = table_l[:top, :top].tolist()
-
-        def refresh(lo, hi):
-            for e in range(lo, hi):
-                na, nb = eta[e], eta[e + 1]
-                rates[2 * e] = right[na][nb]
-                rates[2 * e + 1] = left[na][nb]
-
-    refresh(0, n_edges)
-    # cums[i] = rates[0] + ... + rates[i-1], summed in order, for i <= valid.
-    # The leading 0.0 can only change the sign of a zero running sum, which
-    # no comparison with u >= 0 can see.
-    cums = [0.0] * (n + 1)
-    valid = 0
-    log = TrajectoryLog(initial=initial, t_final=t_max)
-    append = log.events.append
-    exponential, random = rng.exponential, rng.random
-    n_events = 0
-    t = 0.0
-    while True:
-        total = _pairwise_sum(rates)
-        if total <= 0.0:
-            break
-        t += exponential(1.0 / total)
-        if t > t_max:
-            break
-        u = random() * total
-        if u > cums[valid]:
-            cums[valid:] = accumulate(rates[valid:], initial=cums[valid])
-            valid = n
-        j = bisect_left(cums, u, 1, valid + 1) - 1
-        if j == n:
-            j -= 1
-        edge = j >> 1
-        n_events += 1
-        if j & 1:
-            eta[edge] += 1
-            eta[edge + 1] -= 1
-            if record_events:
-                append((t, edge + 1, -1))
-        else:
-            eta[edge] -= 1
-            eta[edge + 1] += 1
-            if record_events:
-                append((t, edge + 1, +1))
-        if eta[edge] > cap or eta[edge + 1] > cap:
-            raise RuntimeError("occupancy cap %d exceeded" % cap)
-        lo = edge - 1 if edge else 0
-        refresh(lo, edge + 2 if edge + 2 < n_edges else n_edges)
-        if 2 * lo < valid:
-            valid = 2 * lo
-    log.final = np.array(eta)
-    log.n_events = n_events
+    out = simulate_batch(tables, [initial], t_max, [rng], record_events)
+    log = TrajectoryLog(initial=initial, t_final=t_max, final=out[0][0],
+                        events=out[2][0] if record_events else [])
+    log.n_events = int(out[1][0])
     return log
 
 
-def simulate_batch(tables, eta0s, t_max, rngs):
+def simulate_batch(tables, eta0s, t_max, rngs, record_events=False):
     """Advance a block of replicas of a table-driven chain in lockstep;
-    returns ``(finals, n_events)``, one row and one count per replica.
+    returns ``(finals, n_events)``, one row and one count per replica, and
+    with ``record_events`` also each replica's event list.
 
-    Replica r starts from ``eta0s[r]`` and draws from ``rngs[r]``.  Its
-    final configuration, its event count and the state it leaves its
-    stream in are those of ``simulate_ctmc(tables, eta0s[r], t_max,
-    rngs[r], record_events=False)``, bit for bit:
+    Replica r starts from ``eta0s[r]`` and draws from ``rngs[r]``, and
+    nothing it does depends on the other replicas.  Its events, its final
+    configuration and the state it leaves its stream in are those of the
+    one-replica array formulation, bit for bit:
 
-    * the live replicas' edge rates form one array; the totals are
-      ``np.add.reduce`` along its rows, which sums each row in the order
-      ``_pairwise_sum`` reproduces;
+    * the live replicas' edge rates form one array, entries 2e and
+      2e + 1 of a row being the right and left rates of edge e; the
+      totals are ``np.add.reduce`` along its rows;
     * each replica draws ``standard_exponential()``, scaled by
       ``1/total`` as ``exponential(1/total)`` scales it, and then
-      ``random()``, from its own stream and in the scalar loop's order;
+      ``random()``, from its own stream;
     * the jump is the number of running sums (``np.cumsum``, in order)
-      below ``u``, clamped to the last rate, which is the scalar pick;
+      below ``u = random() * total``, clamped to the last rate, as
+      ``searchsorted(cumsum, u)`` picks it;
     * a jump refreshes the three edges around it by one table gather.
       A ghost site and a ghost edge at each end of the chain make that
       gather the same for every edge; ghost rates are never summed.
@@ -285,18 +147,23 @@ def simulate_batch(tables, eta0s, t_max, rngs):
     tables : (array, array)
         Occupancy-indexed edge-rate tables ``(right[na, nb], left[na, nb])``
         as ``models.edge_rate_table`` builds them.  A site holding more
-        than the tables cover (or ``OCCUPANCY_CAP``) raises
-        ``RuntimeError``, as in ``simulate_ctmc``.
+        particles than the tables cover raises ``RuntimeError``.
     eta0s : (R, L) array_like of int
     t_max : float
-        Finite and >= 0, else ``ValueError``.
+        Finite and >= 0, else ``ValueError``: the clock never passes a
+        NaN or infinite horizon.
     rngs : sequence of R numpy Generators
+    record_events : bool
+        When True, the third item returned holds, per replica, the list
+        of its events ``(time, edge, direction)`` in time order, as
+        Python floats and ints: ``edge`` is 1-based and ``direction`` is
+        +1 for a particle moving right across it, -1 for one moving left.
     """
     if not 0.0 <= t_max < math.inf:
         raise ValueError("need a finite time horizon t_max >= 0")
     table_r, table_l = tables
     size = table_r.shape[0]
-    cap = min(OCCUPANCY_CAP, size - 1)
+    cap = size - 1
     pair = np.stack((table_r, table_l), axis=-1).reshape(size * size, 2)
     finals = np.array(eta0s, dtype=int)
     if finals.max(initial=0) > cap:
@@ -312,7 +179,7 @@ def simulate_batch(tables, eta0s, t_max, rngs):
     eta[:, 1:-1] = finals
     rates = pair[eta[:, :-1] * size + eta[:, 1:]].reshape(-1, width)
     # the last running sum is replaced by inf, so the first one >= u is
-    # the scalar loop's pick clamped to the last rate
+    # the pick clamped to the last rate
     cums = np.full((len(finals), width - 4), math.inf)
     live = np.arange(len(finals))
     t = np.zeros(len(finals))
@@ -322,6 +189,7 @@ def simulate_batch(tables, eta0s, t_max, rngs):
     guard = finals.sum(axis=1).max(initial=0) > cap
     window, refresh = np.arange(-1, 3), np.arange(6)
     step = 0
+    steps = []  # one (replicas, times, picks) record per step
 
     def retire(stop):
         nonlocal live, eta, rates, t, total, exp_draws, unif_draws
@@ -346,10 +214,14 @@ def simulate_batch(tables, eta0s, t_max, rngs):
             retire(stop)
         n = len(live)
         if not n:
-            return finals, n_events
+            if not record_events:
+                return finals, n_events
+            return finals, n_events, _event_lists(steps, n_events)
         u = np.array([f() for f in unif_draws]) * total
         np.cumsum(rates[:, 2:-3], axis=1, out=cums[:n, :-1])
         j = (cums[:n] < u[:, None]).argmin(axis=1)
+        if record_events:
+            steps.append((live, t.copy(), j))
         # flat index of the jump's left padded site, and +1 for a jump to
         # the left (odd j), -1 for a jump to the right
         left = j & 1
@@ -367,6 +239,21 @@ def simulate_batch(tables, eta0s, t_max, rngs):
         at = np.arange(0, n * width, width) + (j - left)
         rates.reshape(-1).put(at[:, None] + refresh, pair.take(codes, axis=0))
         step += 1
+
+
+def _event_lists(steps, n_events):
+    """Per-replica ``(time, edge, direction)`` lists from the per-step
+    records of ``simulate_batch``.  A stable sort by replica keeps each
+    replica's events in step order, which is time order."""
+    if not steps:
+        return [[] for _ in n_events]
+    who, times, picks = map(np.concatenate, zip(*steps))
+    order = np.argsort(who, kind="stable")
+    picks = picks[order]
+    events = list(zip(times[order].tolist(), ((picks >> 1) + 1).tolist(),
+                      (1 - 2 * (picks & 1)).tolist()))
+    ends = np.cumsum(n_events).tolist()
+    return [events[end - n:end] for n, end in zip(n_events.tolist(), ends)]
 
 
 def simulate_dual_walker(kind, start, t, params, rng):

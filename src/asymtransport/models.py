@@ -116,12 +116,10 @@ def edge_rate_table(model, params, n_max):
     single-particle-move models, for occupancies 0..n_max; each entry is
     the rate function's value at (na, nb).
 
-    ``engine.simulate_ctmc`` converts them once per trajectory to nested
-    lists and refreshes each edge rate with two list lookups, and
-    ``engine.simulate_batch`` refreshes a block of replicas with one
-    gather, instead of re-evaluating q-deformed rates per event;
-    :func:`build_generator` gathers every state's edge rates from them at
-    once."""
+    ``engine.simulate_batch`` refreshes the edge rates of a block of
+    replicas with one gather per step instead of re-evaluating q-deformed
+    rates, and :func:`build_generator` gathers every state's edge rates
+    from them at once."""
     rate_fn = _EDGE_RATE_FNS[model]
     p2 = ModelParams(q=params.q, k=params.k, sigma=params.sigma, L=2)
     right = np.zeros((n_max + 1, n_max + 1))

@@ -310,6 +310,8 @@ def test_current_bad_monte_carlo_input_rejected(tmp_path, formula, bad):
      "--energy", "20"],
     ["current", "--formula", "energy-product", "--sigma", "1",
      "--energy", "2", "--window", "160"],
+    ["current", "--formula", "energy-product", "--sigma", "1",
+     "--energy", "2"],
     ["rate", "--model", "asip", "--x-min", "nan", "--points", "3"],
     ["rate", "--model", "asip", "--x-max", "inf", "--points", "2"],
     ["rate", "--model", "sip", "--energy", "nan"],
@@ -317,6 +319,26 @@ def test_current_bad_monte_carlo_input_rejected(tmp_path, formula, bad):
     ["rate", "--model", "asip", "--x-max", "1e308", "--points", "2"],
 ])
 def test_bad_sampler_and_simulate_input_rejected(tmp_path, argv):
+    out = tmp_path / "out.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--seed", "1", "--out", str(out)])
+    assert isinstance(exc.value.code, str)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--init", "%d,0" % (cli.TABLE_MAX + 1), "--t", "1"],
+    ["current", "--formula", "q-step", "--window", str(cli.TABLE_MAX + 1)],
+    ["current", "--formula", "q-product", "--window", str(cli.TABLE_MAX + 1)],
+])
+def test_oversized_rate_tables_rejected_before_build(tmp_path, monkeypatch,
+                                                    argv):
+    # a table over n particles makes (n + 1)^2 rate calls; past the limit
+    # the request must fail before the first one
+    def build(*args, **kwargs):
+        raise AssertionError("rate table built")
+
+    monkeypatch.setattr(cli.models, "edge_rate_table", build)
     out = tmp_path / "out.csv"
     with pytest.raises(SystemExit) as exc:
         main(argv + ["--seed", "1", "--out", str(out)])

@@ -1,6 +1,9 @@
 """Exact simulation: correctness against the dense generator, the
 reproducibility contract, and trajectory serialization."""
 
+from bisect import bisect_left
+from itertools import accumulate, cycle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,11 +12,144 @@ from scipy import linalg, stats
 
 from asymtransport import configspace as cs
 from asymtransport import engine, models
+from asymtransport.cli import main
 from asymtransport.configspace import ModelParams
 
 
 def _tables(p, n_max):
     return models.edge_rate_table("asip", p, n_max)
+
+
+# ------------------------------------------------ scalar reference loop
+
+def _pairwise_sum(x):
+    """Sum of the list of floats ``x``, rounded exactly as NumPy's float64
+    ``np.add.reduce`` rounds it.
+
+    NumPy sums fewer than 8 items in order.  From 8 to 128 items it keeps 8
+    strided accumulators, combines them as
+    ``((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))`` and adds the remainder in
+    order.  Above 128 it splits at ``n//2 - (n//2)%8`` and recurses.
+    The builtin ``sum`` is not used: from Python 3.12 on it compensates.
+    """
+    n = len(x)
+    if n < 8:
+        s = 0.0
+        for v in x:
+            s += v
+        return s
+    if n > 128:
+        mid = n // 2 - (n // 2) % 8
+        return _pairwise_sum(x[:mid]) + _pairwise_sum(x[mid:])
+    it = iter(x)
+    rows = zip(it, it, it, it, it, it, it, it)  # drops the n % 8 left over
+    r0, r1, r2, r3, r4, r5, r6, r7 = next(rows)
+    for a0, a1, a2, a3, a4, a5, a6, a7 in rows:
+        r0 += a0
+        r1 += a1
+        r2 += a2
+        r3 += a3
+        r4 += a4
+        r5 += a5
+        r6 += a6
+        r7 += a7
+    s = ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
+    for v in x[n - n % 8:]:
+        s += v
+    return s
+
+
+def _ref_simulate_ctmc(tables, eta0, t_max, rng):
+    """One replica as a scalar Python loop over lists, the reference that
+    ``engine.simulate_batch`` must reproduce bit for bit.
+
+    The state is the occupancies, the ``2*(L-1)`` edge rates
+    ``[right_1, left_1, right_2, ...]`` and their sequential running sums.
+    A jump at edge i refreshes the rates of edges i-1, i, i+1; the running
+    sums from there on are recomputed only when a later pick lands beyond
+    the part still valid.  The total rate is summed in NumPy's float64
+    order (``_pairwise_sum``) and the jump is the first rate whose running
+    sum reaches ``u = U * total``, clamped to the last rate, exactly as
+    ``searchsorted(cumsum, u)`` picks it.
+    """
+    table_r, table_l = tables
+    initial = np.asarray(eta0, dtype=int).copy()
+    eta = initial.tolist()
+    n_edges = len(eta) - 1
+    n = 2 * n_edges
+    rates = [0.0] * n
+    cap = table_r.shape[0] - 1
+    top = sum(eta) + 1  # no site ever holds more than every particle
+    right = table_r[:top, :top].tolist()
+    left = table_l[:top, :top].tolist()
+
+    def refresh(lo, hi):
+        for e in range(lo, hi):
+            na, nb = eta[e], eta[e + 1]
+            rates[2 * e] = right[na][nb]
+            rates[2 * e + 1] = left[na][nb]
+
+    refresh(0, n_edges)
+    # cums[i] = rates[0] + ... + rates[i-1], summed in order, for i <= valid.
+    # The leading 0.0 can only change the sign of a zero running sum, which
+    # no comparison with u >= 0 can see.
+    cums = [0.0] * (n + 1)
+    valid = 0
+    log = engine.TrajectoryLog(initial=initial, t_final=t_max)
+    exponential, random = rng.exponential, rng.random
+    t = 0.0
+    while True:
+        total = _pairwise_sum(rates)
+        if total <= 0.0:
+            break
+        t += exponential(1.0 / total)
+        if t > t_max:
+            break
+        u = random() * total
+        if u > cums[valid]:
+            cums[valid:] = accumulate(rates[valid:], initial=cums[valid])
+            valid = n
+        j = bisect_left(cums, u, 1, valid + 1) - 1
+        if j == n:
+            j -= 1
+        edge = j >> 1
+        if j & 1:
+            eta[edge] += 1
+            eta[edge + 1] -= 1
+            log.events.append((t, edge + 1, -1))
+        else:
+            eta[edge] -= 1
+            eta[edge + 1] += 1
+            log.events.append((t, edge + 1, +1))
+        if eta[edge] > cap or eta[edge + 1] > cap:
+            raise RuntimeError("occupancy cap %d exceeded" % cap)
+        lo = edge - 1 if edge else 0
+        refresh(lo, edge + 2 if edge + 2 < n_edges else n_edges)
+        if 2 * lo < valid:
+            valid = 2 * lo
+    log.final = np.array(eta)
+    log.n_events = len(log.events)
+    return log
+
+
+def test_pairwise_sum_matches_numpy_bit_for_bit():
+    # the reference loop's total must round exactly as np.add.reduce does,
+    # or event times drift in the last bit; lengths 0..300 cover the
+    # in-order, 8-accumulator and split-and-recurse paths
+    rng = np.random.default_rng(0)
+    for n in range(301):
+        for scale in (1.0, 1e-3 * 10.0 ** rng.integers(0, 9, n)):
+            x = rng.random(n) * scale
+            x[rng.random(n) < 0.5] = 0.0
+            assert _pairwise_sum(x.tolist()) == np.add.reduce(x), n
+            # simulate_batch sums rows of a padded 2-D view
+            block = np.zeros((3, n + 4))
+            block[:, 2:-2] = x
+            assert (np.add.reduce(block[:, 2:-2], axis=1)
+                    == _pairwise_sum(x.tolist())).all(), n
+
+
+# ------------------------------------------------------- public API
 
 
 def test_seed_tree_streams_are_reproducible_and_distinct():
@@ -38,23 +174,6 @@ def test_trajectory_conservation_and_serialization():
     assert (replayed == final).all()
     lines = log.to_lines()
     assert engine.TrajectoryLog.events_from_lines(lines) == log.events
-
-
-def test_pairwise_sum_matches_numpy_bit_for_bit():
-    # the event loop's total must round exactly as np.add.reduce does, or
-    # event times drift in the last bit; lengths 0..300 cover the in-order,
-    # 8-accumulator and split-and-recurse paths
-    rng = np.random.default_rng(0)
-    for n in range(301):
-        for scale in (1.0, 1e-3 * 10.0 ** rng.integers(0, 9, n)):
-            x = rng.random(n) * scale
-            x[rng.random(n) < 0.5] = 0.0
-            assert engine._pairwise_sum(x.tolist()) == np.add.reduce(x), n
-            # simulate_batch sums rows of a padded 2-D view
-            block = np.zeros((3, n + 4))
-            block[:, 2:-2] = x
-            assert (np.add.reduce(block[:, 2:-2], axis=1)
-                    == engine._pairwise_sum(x.tolist())).all(), n
 
 
 def test_event_count_with_and_without_recording():
@@ -92,20 +211,6 @@ def test_frozen_state_stops_immediately():
     assert (log.final_config() == 0).all()
 
 
-def test_callable_and_tabular_rates_agree():
-    p = ModelParams(q=0.8, k=0.5, L=3)
-    eta0 = np.array([2, 1, 0])
-
-    def rate_fn(eta, i):
-        return models.asip_edge_rates(eta, i, p)
-
-    log_a = engine.simulate_ctmc(rate_fn, eta0, 1.0,
-                                 engine.SeedTree(3).stream(0))
-    log_b = engine.simulate_ctmc(_tables(p, 3), eta0, 1.0,
-                                 engine.SeedTree(3).stream(0))
-    assert log_a.events == log_b.events
-
-
 @pytest.mark.parametrize("t_max", [float("nan"), float("inf"), -1.0])
 def test_horizon_must_be_finite_and_nonnegative(t_max):
     # a NaN horizon is never passed, so the loop would record events forever
@@ -116,13 +221,6 @@ def test_horizon_must_be_finite_and_nonnegative(t_max):
     with pytest.raises(ValueError):
         engine.simulate_batch(_tables(p, 3), [[2, 1, 0]], t_max,
                               [engine.SeedTree(1).stream(0)])
-
-
-def test_occupancy_cap_guard():
-    p = ModelParams(q=0.8, k=0.5, L=2)
-    with pytest.raises(RuntimeError):
-        engine.simulate_ctmc(_tables(p, 4), np.array([2, 2]), 50.0,
-                             engine.SeedTree(2).stream(0), occupancy_cap=3)
 
 
 def test_dual_walker_kinds():
@@ -195,11 +293,11 @@ def test_marginal_law_against_matrix_exponential():
     tree = engine.SeedTree(21)
     for t in (0.5, 2.0):
         probs = linalg.expm(t * Q)[row0]
+        finals, _ = engine.simulate_batch(
+            tables, [eta0] * reps, t, [tree.stream(r) for r in range(reps)])
         counts = np.zeros(len(sec))
-        for r in range(reps):
-            log = engine.simulate_ctmc(tables, eta0, t, tree.stream(r),
-                                       record_events=False)
-            counts[sec.index[tuple(log.final_config())]] += 1
+        for final in finals:
+            counts[sec.index[tuple(final)]] += 1
         freq = counts / reps
         se = np.sqrt(probs * (1 - probs) / reps)
         assert np.all(np.abs(freq - probs) <= 4 * se + 1e-9)
@@ -220,30 +318,38 @@ def _stream_state(rng):
 
 
 def _scalar_runs(tables, init, t_max, replicas, seed):
-    """Per replica (final, n_events, stream state) of simulate_ctmc: the
-    reference simulate_batch must reproduce bit for bit."""
+    """Per replica (final, n_events, stream state, events) of the scalar
+    reference loop, which simulate_batch must reproduce bit for bit."""
     tree = engine.SeedTree(seed)
     out = []
     for r in range(replicas):
         rng = tree.stream(r)
-        log = engine.simulate_ctmc(tables, init(rng), t_max, rng,
-                                   record_events=False)
-        out.append((log.final.tolist(), log.n_events, _stream_state(rng)))
+        log = _ref_simulate_ctmc(tables, init(rng), t_max, rng)
+        out.append((log.final.tolist(), log.n_events, _stream_state(rng),
+                    log.events))
     return out
 
 
 def _batch_runs(tables, init, t_max, replicas, seed):
-    tree = engine.SeedTree(seed)
-    rngs = [tree.stream(r) for r in range(replicas)]
-    eta0s = [init(rng) for rng in rngs]
-    finals, n_events = engine.simulate_batch(tables, eta0s, t_max, rngs)
-    return [(f.tolist(), int(n), _stream_state(g))
-            for f, n, g in zip(finals, n_events, rngs)]
+    """The same from one simulate_batch call with event recording on; a
+    call with it off must leave the finals, counts and streams alike."""
+    runs = {}
+    for record in (False, True):
+        tree = engine.SeedTree(seed)
+        rngs = [tree.stream(r) for r in range(replicas)]
+        eta0s = [init(rng) for rng in rngs]
+        finals, n_events, *events = engine.simulate_batch(
+            tables, eta0s, t_max, rngs, record_events=record)
+        runs[record] = [(f.tolist(), int(n), _stream_state(g))
+                        for f, n, g in zip(finals, n_events, rngs)]
+    assert runs[False] == runs[True]
+    return [run + (ev,) for run, ev in zip(runs[True], events[0])]
 
 
 def _fixed(eta0s):
-    """``init(rng)`` that hands out the rows of eta0s in replica order."""
-    rows = iter(eta0s)
+    """``init(rng)`` that hands out the rows of eta0s in replica order,
+    starting over after the last."""
+    rows = cycle(eta0s)
     return lambda rng: np.array(next(rows))
 
 
@@ -262,7 +368,7 @@ def test_batch_matches_scalar_loop(formula, replicas):
     tables, init = _current_case(formula, 16)
     ref = _scalar_runs(tables, init, 1.0, replicas, 31)
     assert _batch_runs(tables, init, 1.0, replicas, 31) == ref
-    assert sum(n for _, n, _ in ref) > replicas
+    assert sum(n for _, n, _, _ in ref) > replicas
 
 
 @pytest.mark.parametrize("eta0s", [
@@ -279,7 +385,7 @@ def test_batch_matches_scalar_on_frozen_and_ragged_blocks(eta0s, t_max):
     got = _batch_runs(tables, _fixed(eta0s), t_max, len(eta0s), 4)
     assert got == ref
     if t_max == 0.0 or sum(map(sum, eta0s)) == 0:
-        assert all(n == 0 for _, n, _ in got)
+        assert all(n == 0 for _, n, _, _ in got)
 
 
 def test_batch_truncated_table_raises_occupancy_cap():
@@ -296,6 +402,23 @@ def test_batch_truncated_table_raises_occupancy_cap():
                               [engine.SeedTree(2).stream(0)])
 
 
+def test_simulate_cli_matches_reference_across_blocks(tmp_path):
+    # BATCH + 1 replicas run as two blocks; every line is the reference's
+    replicas, eta0, t = engine.BATCH + 1, [2, 0, 1, 0], 0.4
+    out = tmp_path / "sim.csv"
+    assert main(["simulate", "--model", "asip", "--q", "0.8", "--k", "0.5",
+                 "--init", "2,0,1,0", "--t", str(t), "--replicas",
+                 str(replicas), "--seed", "6", "--out", str(out)]) == 0
+    tables = _tables(ModelParams(q=0.8, k=0.5), sum(eta0))
+    tree = engine.SeedTree(6)
+    ref = ["replica,time,edge,direction"]
+    for r in range(replicas):
+        ref += ["%d,%.17g,%d,%d" % ((r,) + ev) for ev in
+                _ref_simulate_ctmc(tables, eta0, t, tree.stream(r)).events]
+    assert out.read_text().splitlines() == ref
+    assert len(ref) > replicas
+
+
 @pytest.mark.parametrize("replicas", [1, 2, engine.BATCH + 1])
 @pytest.mark.parametrize("formula", ["q-step", "q-product"])
 def test_q_moment_ensemble_matches_run_ensemble(formula, replicas):
@@ -306,7 +429,7 @@ def test_q_moment_ensemble_matches_run_ensemble(formula, replicas):
 
     def job(rng, r):
         eta = init(rng)
-        log = engine.simulate_ctmc(tables, eta, t, rng, record_events=False)
+        log = _ref_simulate_ctmc(tables, eta, t, rng)
         J = log.final_config()[site:].sum() - eta[site:].sum()
         return q ** (2.0 * J)
 
