@@ -14,7 +14,6 @@ import sys
 from dataclasses import dataclass, fields
 
 import numpy as np
-from scipy import integrate
 
 from . import (configspace, currents, dualitylab, engine, models, qalgebra,
                thermal)
@@ -342,6 +341,7 @@ def _flow_residual(a, b, sigma, kind, A):
     """Worst miss of the closed-form flow from (a, b): of the fixed point
     (A, a + b - A), and of ``u(t + 1) - u(t) = int_t^(t+1) velocity`` for
     t = 0..3 by Simpson's rule on 10000 steps."""
+    from scipy import integrate
     u, v = models.adep_relax_pair(a, b, sigma, kind=kind)
     worst = max(abs(u - A), abs(v - (a + b - A)))
     for t in range(4):
@@ -397,7 +397,11 @@ def cmd_verify(spec):
 
 def _initial_config(spec):
     if spec.init:
-        eta = np.asarray(configspace.config_from_line(spec.init))
+        try:
+            eta = configspace.config_from_line(spec.init)
+        except (ValueError, OverflowError):
+            raise SystemExit("--init needs comma-separated occupancies "
+                             "(integers >= 0), got %r" % spec.init) from None
         if len(eta) != spec.L:
             raise SystemExit("init length %d does not match L=%d"
                              % (len(eta), spec.L))

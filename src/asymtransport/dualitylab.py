@@ -14,15 +14,19 @@ Provided duality functions:
 * ``d_abep``   -- kernel coupling the asymmetric energy diffusion to the
   symmetric inclusion process (all asymmetry sits in the kernel);
 * ``d_akmp``   -- the k = 1/2 specialization, dual to uniform redistribution.
+
+``scipy.integrate`` and ``scipy.sparse.linalg.expm_multiply`` are imported
+inside the two functions that use them
+(:func:`thermal_continuous_duality_residual` and
+:func:`renormalized_dual_expectation`): neither is on a simulation path,
+and loading them with the package would add about 0.2 s to every start.
 """
 
 from dataclasses import dataclass
 import math
 
 import numpy as np
-from scipy import stats
 from scipy.special import gammaln
-from scipy.sparse.linalg import expm_multiply
 
 from . import configspace, models, qcalc, thermal
 from .configspace import ModelParams, tail_count
@@ -389,7 +393,7 @@ def thermal_continuous_duality_residual(x, xi, params, threshold=1e-9):
                                     epsabs=1e-13, epsrel=1e-12, limit=200)
         n_tot = int(xi[i - 1] + xi[i])
         rhs = 0.0
-        pmf = stats.betabinom.pmf(np.arange(n_tot + 1), n_tot, 2 * k, 2 * k)
+        pmf = thermal.betabinom_weights(n_tot, k)
         for r in range(n_tot + 1):
             z = xi.copy()
             z[i - 1], z[i] = r, n_tot - r
@@ -413,6 +417,7 @@ def renormalized_dual_expectation(eta, ells, t, params):
     The renormalizing prefactor is what keeps the observable finite when
     the window grows into a configuration with infinitely many particles.
     """
+    from scipy.sparse.linalg import expm_multiply
     eta = np.asarray(eta, dtype=int)
     L = len(eta)
     xi0 = dual_occupation(ells, L)

@@ -100,34 +100,50 @@ def qtazrp_rate(y, i, q):
     return (q ** (-2 * nb) - 1.0) / (q ** (-2) - 1.0)
 
 
-def _qtazrp_rates(eta, i, params):
-    return 0.0, qtazrp_rate(eta, params.edge_sites(i)[1] - 1, params.q)
+def _asip_rate_tables(q, k, n):
+    # q^(na - nb +- (2k - 1)) [na] [2k + nb] and its mirror, from per-site
+    # scalar factors and one power per difference, multiplied in the order
+    # asip_edge_rates uses
+    s = 2 * k - 1
+    qn = np.array([q_number(m, q) for m in n])
+    qn2k = np.array([q_number(2 * k + m, q) for m in n])
+    diffs = range(-n[-1], n[-1] + 1)
+    d = np.subtract.outer(n, n) + n[-1]
+    right = np.array([q ** (e + s) for e in diffs])[d] * qn[:, None] * qn2k
+    left = np.array([q ** (e - s) for e in diffs])[d] * qn2k[:, None] * qn
+    return right, left
 
 
-_EDGE_RATE_FNS = {
-    "asip": asip_edge_rates,
-    "sip": lambda eta, i, p: sip_edge_rates(eta, i, p.k, L=p.L, boundary=p.boundary),
-    "qtazrp": _qtazrp_rates,
+def _sip_rate_tables(q, k, n):
+    m = np.array(n, dtype=float)
+    return m[:, None] * (2 * k + m), (2 * k + m)[:, None] * m
+
+
+def _qtazrp_rate_tables(q, k, n):
+    # a particle leaves the right site of the edge at a rate set by its
+    # occupancy nb alone
+    rate = np.array([qtazrp_rate((m,), 0, q) for m in n])
+    return np.zeros((len(n), len(n))), np.tile(rate, (len(n), 1))
+
+
+_RATE_TABLE_FNS = {
+    "asip": _asip_rate_tables,
+    "sip": _sip_rate_tables,
+    "qtazrp": _qtazrp_rate_tables,
 }
 
 
 def edge_rate_table(model, params, n_max):
     """Occupancy-pair lookup tables (right[na, nb], left[na, nb]) for the
-    single-particle-move models, for occupancies 0..n_max; each entry is
-    the rate function's value at (na, nb).
+    single-particle-move models, for occupancies 0..n_max; each entry
+    equals the rate function's value at (na, nb) bit for bit.  They are
+    built from per-site scalar factors by broadcasting.
 
     ``engine.simulate_batch`` refreshes the edge rates of a block of
     replicas with one gather per step instead of re-evaluating q-deformed
     rates, and :func:`build_generator` gathers every state's edge rates
     from them at once."""
-    rate_fn = _EDGE_RATE_FNS[model]
-    p2 = ModelParams(q=params.q, k=params.k, sigma=params.sigma, L=2)
-    right = np.zeros((n_max + 1, n_max + 1))
-    left = np.zeros((n_max + 1, n_max + 1))
-    for na in range(n_max + 1):
-        for nb in range(n_max + 1):
-            right[na, nb], left[na, nb] = rate_fn(np.array([na, nb]), 1, p2)
-    return right, left
+    return _RATE_TABLE_FNS[model](params.q, params.k, list(range(n_max + 1)))
 
 
 def build_generator(sector, model, params):
@@ -146,7 +162,7 @@ def build_generator(sector, model, params):
         if model == "th_asip":
             return thermal.th_asip_generator(sector, params)
         return thermal.th_sip_generator(sector, params.k, boundary=params.boundary)
-    if model not in _EDGE_RATE_FNS:
+    if model not in _RATE_TABLE_FNS:
         raise ValueError("unknown model %r" % (model,))
     if sector.L != params.L:
         raise ValueError("sector length does not match params.L")

@@ -12,21 +12,27 @@ law conditioned on the edge total:
   tilt this is the classical uniform energy redistribution model.
 
 Each edge carries an exponential rate-1 clock.
+
+The symmetric Beta-Binomial law is evaluated in closed form
+(:func:`betabinom_weights`), so importing this module does not load
+``scipy.stats``; ``scipy.integrate`` is imported inside
+:func:`tilted_beta_mean`, the only function here that integrates.  Both
+cost about 0.6 s at start-up and neither is on a simulation path.
 """
 
 import math
 import sys
 
 import numpy as np
-from scipy import integrate, special, stats
+from scipy import special
 
 from .qcalc import q_binomial
 from . import models
 
 __all__ = [
     "qbetabinom_weights", "qbetabinom_pmf", "sample_qbetabinom",
-    "betabinom_pmf", "tilted_beta_pdf", "tilted_beta_cdf", "tilted_beta_mean",
-    "sample_tilted_beta", "th_asip_generator", "th_sip_generator",
+    "betabinom_weights", "betabinom_pmf", "tilted_beta_pdf", "tilted_beta_cdf",
+    "tilted_beta_mean", "sample_tilted_beta", "th_asip_generator", "th_sip_generator",
     "th_abep_step", "akmp_step", "simulate_thermal_continuous",
 ]
 
@@ -64,9 +70,28 @@ def sample_qbetabinom(n_tot, q, k, rng, size=None):
         else np.searchsorted(cdf, u)
 
 
+def betabinom_weights(n_tot, k):
+    """Masses of r = 0..n_tot under the symmetric-limit split law
+    Beta-Binomial(n_tot, 2k, 2k).
+
+    ``log pmf(r) = -log(n + 1) - B(n - r + 1, r + 1) + B(r + a, n - r + a)
+    - B(a, a)`` with B = log Beta and a = 2k, evaluated in the order
+    ``scipy.stats.betabinom`` uses and clipped to [0, 1] as it is, so the
+    values equal scipy's bit for bit.
+    """
+    n = n_tot
+    r = np.arange(n + 1)
+    a = 2 * k
+    log_binom = -np.log(n + 1) - special.betaln(n - r + 1, r + 1)
+    logpmf = log_binom + special.betaln(r + a, n - r + a) - special.betaln(a, a)
+    return np.clip(np.exp(logpmf), 0, 1)
+
+
 def betabinom_pmf(r, n_tot, k):
     """Symmetric-limit split law: Beta-Binomial(n_tot, 2k, 2k)."""
-    return float(stats.betabinom.pmf(r, n_tot, 2 * k, 2 * k))
+    if r != int(r) or not 0 <= r <= n_tot:
+        return 0.0
+    return float(betabinom_weights(n_tot, k)[int(r)])
 
 
 _TILT_SMALL = 1e-8
@@ -116,6 +141,7 @@ def tilted_beta_cdf(w, E, sigma, k):
 
 def tilted_beta_mean(E, sigma, k):
     """Mean fraction kept by the left site, by adaptive quadrature."""
+    from scipy import integrate
     val, _ = integrate.quad(lambda w: w * tilted_beta_pdf(w, E, sigma, k),
                             0.0, 1.0, epsabs=1e-11, epsrel=1e-10, limit=200)
     return val
@@ -152,8 +178,7 @@ def th_sip_generator(sector, k, boundary="closed"):
     n_edges = sector.L if boundary == "periodic" else sector.L - 1
     return _thermal_generator(
         sector, n_edges, boundary,
-        lambda n_tot: stats.betabinom.pmf(np.arange(n_tot + 1), n_tot,
-                                          2 * k, 2 * k))
+        lambda n_tot: betabinom_weights(n_tot, k))
 
 
 def _thermal_generator(sector, n_edges, boundary, law):

@@ -2,6 +2,8 @@
 fault injection and input validation."""
 
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -9,6 +11,7 @@ from asymtransport import cli
 from asymtransport.cli import ExperimentSpec, main
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def _read(path):
@@ -317,6 +320,9 @@ def test_current_bad_monte_carlo_input_rejected(tmp_path, formula, bad):
     ["rate", "--model", "sip", "--energy", "nan"],
     ["rate", "--model", "sip", "--sigma", "1", "--energy", "1e6"],
     ["rate", "--model", "asip", "--x-max", "1e308", "--points", "2"],
+    ["simulate", "--init", "1,-1,2", "--L", "3", "--t", "1"],
+    ["simulate", "--init", "a,b", "--L", "2", "--t", "1"],
+    ["simulate", "--init", "1,99999999999999999999", "--L", "2", "--t", "1"],
 ])
 def test_bad_sampler_and_simulate_input_rejected(tmp_path, argv):
     out = tmp_path / "out.csv"
@@ -402,3 +408,19 @@ def test_unknown_sampler_rejected():
     with pytest.raises(SystemExit):
         cli.cmd_thermalize(ExperimentSpec(command="thermalize",
                                           sampler="nope", seed=1))
+
+
+def test_import_leaves_slow_scipy_parts_unloaded():
+    # scipy.stats, scipy.integrate and scipy.sparse.linalg cost about 0.6 s
+    # of start-up and serve no simulation path: they are imported inside
+    # the functions that use them, and scipy.stats not at all
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (os.path.join(ROOT, "src"), env.get("PYTHONPATH")) if p)
+    code = ("import sys, asymtransport, asymtransport.cli; print(' '.join("
+            "m for m in ('scipy.stats', 'scipy.integrate', "
+            "'scipy.sparse.linalg', 'scipy.optimize') if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == []

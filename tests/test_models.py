@@ -68,14 +68,43 @@ def test_generator_periodic_has_extra_edge():
     assert g_ring.nnz > g_line.nnz
 
 
+# Reference: the per-entry loop that built the rate tables before the
+# per-site factors and broadcasting; the tables must agree bit for bit.
+
+_RATE_FNS = {
+    "asip": models.asip_edge_rates,
+    "sip": lambda eta, i, p: models.sip_edge_rates(eta, i, p.k, L=p.L,
+                                                   boundary=p.boundary),
+    "qtazrp": lambda eta, i, p: (0.0, models.qtazrp_rate(
+        eta, p.edge_sites(i)[1] - 1, p.q)),
+}
+
+
+def _ref_edge_rate_table(model, params, n_max):
+    rate_fn = _RATE_FNS[model]
+    p2 = ModelParams(q=params.q, k=params.k, sigma=params.sigma, L=2)
+    right = np.zeros((n_max + 1, n_max + 1))
+    left = np.zeros((n_max + 1, n_max + 1))
+    for na in range(n_max + 1):
+        for nb in range(n_max + 1):
+            right[na, nb], left[na, nb] = rate_fn(np.array([na, nb]), 1, p2)
+    return right, left
+
+
 def test_edge_rate_table_matches_rate_fn():
-    p = ModelParams(q=0.8, k=0.5)
-    right, left = models.edge_rate_table("asip", p, n_max=4)
-    for na in range(5):
-        for nb in range(5):
-            r, l = models.asip_edge_rates(np.array([na, nb]), 1, p)
-            assert right[na, nb] == pytest.approx(r, abs=1e-14)
-            assert left[na, nb] == pytest.approx(l, abs=1e-14)
+    cases = [(q, k, n_max)
+             for q in (1.0, 0.97, 0.8, 0.55, 0.3, 0.1)
+             for k in (0.05, 0.3, 0.5, 1, 1.5, 7.25)
+             for n_max in (0, 1, 5, 40)]
+    cases += [(0.8, 0.5, 100), (0.3, 2.3, 100), (1.0, 0.75, 100)]
+    for model in ("asip", "sip", "qtazrp"):
+        for q, k, n_max in cases:
+            p = ModelParams(q=q, k=k)
+            new = models.edge_rate_table(model, p, n_max)
+            ref = _ref_edge_rate_table(model, p, n_max)
+            for a, b in zip(new, ref):
+                assert a.shape == b.shape and a.dtype == b.dtype
+                assert a.tobytes() == b.tobytes(), (model, q, k, n_max)
 
 
 def test_detailed_balance():
@@ -282,7 +311,7 @@ def test_rates_nonnegative(q, k, na, nb):
 # must agree byte for byte.
 
 def _ref_build_generator(sector, model, params):
-    rate_fn = models._EDGE_RATE_FNS[model]
+    rate_fn = _RATE_FNS[model]
     rows, cols, rates = [], [], []
     for a, eta in enumerate(sector.configs):
         ev = np.asarray(eta)

@@ -45,6 +45,19 @@ def test_betabinom_matches_scipy():
             stats.betabinom.pmf(r, 6, 1.0, 1.0), rel=1e-12)
 
 
+def test_betabinom_closed_form_matches_scipy_bit_for_bit():
+    for k in (0.025, 0.1, 0.2, 0.25, 0.3, 0.5, 0.75, 1.0, 1.5, 3.7, 12.5):
+        for n_tot in range(61):
+            r = np.arange(n_tot + 1)
+            ref = stats.betabinom.pmf(r, n_tot, 2 * k, 2 * k)
+            new = thermal.betabinom_weights(n_tot, k)
+            assert new.dtype == ref.dtype
+            assert new.tobytes() == ref.tobytes(), (n_tot, k)
+            for rr in (-1, 0, n_tot // 2, n_tot, n_tot + 1):
+                assert thermal.betabinom_pmf(rr, n_tot, k) == \
+                    float(stats.betabinom.pmf(rr, n_tot, 2 * k, 2 * k))
+
+
 def test_sample_qbetabinom_frequencies():
     n_tot, q, k = 4, 0.7, 0.5
     rng = engine.SeedTree(3).stream(0)
