@@ -16,11 +16,11 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import (configspace, currents, dualitylab, engine, models, qalgebra,
-               thermal)
+               qcalc, thermal)
 from .configspace import ModelParams
 from .dualitylab import CheckReport
 
-__all__ = ["main", "ExperimentSpec", "run_suite", "SUITES"]
+__all__ = ["main", "ExperimentSpec", "SUITES"]
 
 SUITES = ("duality", "algebra", "measures", "thermal", "limits")
 
@@ -216,9 +216,8 @@ def _suite_algebra(p, p_bad):
         residual=np.abs(S_exp - S_cf).max() / max(1.0, np.abs(S_cf).max()),
         threshold=1e-10))
 
-    from .qcalc import q_number
     C = qalgebra.casimir_matrix(p.k, p.q, 12)
-    scalar = q_number(p.k, p.q) * q_number(p.k - 1.0, p.q)
+    scalar = qcalc.q_number(p.k, p.q) * qcalc.q_number(p.k - 1.0, p.q)
     out.append(CheckReport(
         name="casimir-scalar", params=dict(q=p.q, k=p.k),
         residual=np.abs(C - scalar * np.eye(13)).max() / max(1.0, abs(scalar)),
@@ -226,21 +225,23 @@ def _suite_algebra(p, p_bad):
     return out
 
 
+def _product_weight(eta, p, alpha):
+    """Unnormalized weight of eta under the reversible product measure."""
+    return math.exp(sum(
+        math.log(models.asip_marginal_pmf(i + 1, int(n), p, alpha))
+        for i, n in enumerate(eta)))
+
+
 def _suite_measures(p, p_bad):
     out = []
     L, N = 3, 3
     alpha = 0.3 * models.alpha_max(p)
     sector = configspace.enumerate_sector(L, N)
-
-    def weight(eta):
-        return math.exp(sum(
-            math.log(models.asip_marginal_pmf(i + 1, int(n), p_bad, alpha))
-            for i, n in enumerate(eta)))
-
     out.append(CheckReport(
         name="detailed-balance", params=dict(L=L, N=N, q=p.q, k=p.k),
-        residual=models.detailed_balance_residual(sector, "asip", p3(p, L),
-                                                  weight),
+        residual=models.detailed_balance_residual(
+            sector, "asip", p3(p, L),
+            lambda eta: _product_weight(eta, p_bad, alpha)),
         threshold=1e-12))
     worst_z = 0.0
     worst_m = 0.0
@@ -274,8 +275,7 @@ def _suite_thermal(p, p_bad):
                    * models.asip_marginal_pmf(i + 1, n_tot - r, p, alpha)
                    for r in range(n_tot + 1)])
     pm /= pm.sum()
-    ref = np.array([thermal.qbetabinom_pmf(r, n_tot, p_bad.q, p_bad.k)
-                    for r in range(n_tot + 1)])
+    ref = thermal.qbetabinom_weights(n_tot, p_bad.q, p_bad.k)
     out.append(CheckReport(
         name="split-law-is-conditioned-product",
         params=dict(n=n_tot, q=p.q, k=p.k),
@@ -284,9 +284,7 @@ def _suite_thermal(p, p_bad):
     L, N = 3, 3
     sector = configspace.enumerate_sector(L, N)
     gen = thermal.th_asip_generator(sector, p3(p, L))
-    mu = np.array([math.exp(sum(
-        math.log(models.asip_marginal_pmf(j + 1, int(n), p_bad, alpha))
-        for j, n in enumerate(c))) for c in sector.configs])
+    mu = np.array([_product_weight(c, p_bad, alpha) for c in sector.configs])
     mu /= mu.sum()
     out.append(CheckReport(
         name="thermal-stationarity", params=dict(L=L, N=N, q=p.q, k=p.k),
@@ -365,26 +363,40 @@ _SUITE_FNS = {
 }
 
 
-def run_suite(suite, spec):
-    """Run one verification suite; returns the list of check reports."""
+def _suite_params(suite, spec):
+    """The (p, p_bad) pair of one suite, or a usage message when the
+    suite cannot take the spec's q and k."""
     # the duality suite's ASIP generators are singular at q = 1, and the
     # symmetric ring does have product measures
     top = "< 1" if suite in ("duality", "measures") else "<= 1"
-    for q in (spec.q, spec.q + spec.perturb_q):
+    qs = (spec.q, spec.q + spec.perturb_q)
+    for q in qs:
         if not (0.0 < q < 1.0 or (q == 1.0 and top == "<= 1")):
             raise SystemExit("the %s suite needs 0 < q %s and "
                              "0 < q + --perturb-q %s" % (suite, top, top))
+    # every suite but limits builds its rates and kernels from [2k + n]_q
+    # at the occupancies n <= 4 of its sectors; where 2k is lost in that
+    # sum ([2k]_q = 0 at n = 0) they divide by zero
+    if suite != "limits" and any(
+            qcalc.q_number(2 * spec.k + n, q) == qcalc.q_number(n, q)
+            for q in qs for n in range(5)):
+        raise SystemExit("the %s suite needs a --k whose 2k is not lost in "
+                         "[2k + n]_q for n <= 4, got %r" % (suite, spec.k))
     p = ModelParams(q=spec.q, k=spec.k, sigma=spec.sigma)
+    if suite == "measures" and not p.two_k_integer:
+        raise SystemExit("the measures suite checks closed forms that need "
+                         "an integer 2k, got --k %r" % spec.k)
     p_bad = ModelParams(q=spec.q + spec.perturb_q, k=spec.k,
                         sigma=spec.sigma)
-    return _SUITE_FNS[suite](p, p_bad)
+    return p, p_bad
 
 
 def cmd_verify(spec):
     suites = SUITES if spec.suite == "all" else (spec.suite,)
-    reports = []
-    for suite in suites:
-        reports.extend(run_suite(suite, spec))
+    # every suite's input is checked before the first one runs
+    params = [_suite_params(suite, spec) for suite in suites]
+    reports = [r for suite, pair in zip(suites, params)
+               for r in _SUITE_FNS[suite](*pair)]
     lines = ["[%s]" % "+".join(suites)] + [str(r) for r in reports]
     ok = all(r.passed for r in reports)
     lines.append("result: %s (%d checks)" % ("pass" if ok else "FAIL",
@@ -395,13 +407,17 @@ def cmd_verify(spec):
 
 # -------------------------------------------------------------- simulate
 
+def _parse_init(text):
+    try:
+        return configspace.config_from_line(text)
+    except (ValueError, OverflowError):
+        raise SystemExit("--init needs comma-separated occupancies "
+                         "(integers >= 0), got %r" % text) from None
+
+
 def _initial_config(spec):
     if spec.init:
-        try:
-            eta = configspace.config_from_line(spec.init)
-        except (ValueError, OverflowError):
-            raise SystemExit("--init needs comma-separated occupancies "
-                             "(integers >= 0), got %r" % spec.init) from None
+        eta = _parse_init(spec.init)
         if len(eta) != spec.L:
             raise SystemExit("init length %d does not match L=%d"
                              % (len(eta), spec.L))
@@ -596,13 +612,15 @@ def cmd_thermalize(spec):
     rng = engine.SeedTree(spec.seed).stream(0)
     lines = ["bin,empirical,exact"]
     if spec.sampler == "qbetabinom":
+        try:
+            exact = thermal.qbetabinom_weights(spec.n, spec.q, spec.k)
+        except ValueError as exc:
+            raise SystemExit("%s; lower --n or raise --q" % exc) from None
         draws = thermal.sample_qbetabinom(spec.n, spec.q, spec.k, rng,
                                           size=spec.samples)
         counts = np.bincount(draws, minlength=spec.n + 1) / spec.samples
         for r in range(spec.n + 1):
-            lines.append("%d,%s,%s" % (
-                r, _fmt(counts[r]),
-                _fmt(thermal.qbetabinom_pmf(r, spec.n, spec.q, spec.k))))
+            lines.append("%d,%s,%s" % (r, _fmt(counts[r]), _fmt(exact[r])))
     elif spec.sampler in ("tilted-beta", "kmp"):
         sigma = spec.sigma if spec.sampler == "tilted-beta" else 0.0
         k = spec.k if spec.sampler == "tilted-beta" else 0.5
@@ -731,7 +749,7 @@ def spec_from_args(args):
             setattr(spec, f.name, val)
     if getattr(args, "init", None) and getattr(args, "L", None) is None:
         # --init alone fixes the chain length; an explicit --L must match it
-        spec.L = len(configspace.config_from_line(args.init))
+        spec.L = len(_parse_init(args.init))
     return spec
 
 

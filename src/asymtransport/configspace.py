@@ -6,7 +6,7 @@ labeled by their left site, so a chain of L sites has edges 1..L-1 (closed)
 or 1..L with wrap-around (periodic).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 import math
 
 import numpy as np
@@ -151,24 +151,22 @@ def g_inverse(z, sigma):
     return np.log(top / bot) / (2.0 * sigma)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Sector:
-    """All occupation vectors with given length L and total N, indexed.
+    """All occupation vectors with given length L and total N.
 
-    The ordering is lexicographic descending in the first coordinate, so the
-    first config is (N, 0, ..., 0); matrix layouts are reproducible.
+    ``configs`` is a read-only (size, L) integer array, one configuration
+    per row.  The ordering is lexicographic descending in the first
+    coordinate, so the first row is (N, 0, ..., 0); matrix layouts are
+    reproducible, and :meth:`rank` inverts the row order in closed form.
     """
 
     L: int
     N: int
-    configs: tuple
-    index: dict = field(repr=False)
+    configs: np.ndarray
 
     def __len__(self):
         return len(self.configs)
-
-    def array(self):
-        return np.array(self.configs, dtype=int)
 
     def rank(self, configs):
         """Positions in this sector of the configurations given as the
@@ -204,9 +202,9 @@ def enumerate_sector(L, N, cap=SECTOR_CAP):
     size = math.comb(N + L - 1, N)
     if size > cap:
         raise ValueError("sector size %d exceeds cap %d" % (size, cap))
-    configs = tuple(_compositions(L, N))
-    index = {c: j for j, c in enumerate(configs)}
-    return Sector(L=L, N=N, configs=configs, index=index)
+    configs = np.array(list(_compositions(L, N)), dtype=int)
+    configs.flags.writeable = False
+    return Sector(L=L, N=N, configs=configs)
 
 
 def config_to_line(v):

@@ -180,8 +180,8 @@ def q_moment_fixed_config(eta_window, window_start, bond, t, params,
         * q ** (2.0 * (tail_count_at(m) - n_bond))
         for m in occ
     ])
-    mu_r = q_number(2 * k, q) * q ** (2 * k) * t
-    mu_l = q_number(2 * k, q) * q ** (-2 * k) * t
+    a, b = walker_rates(q, k)
+    mu_r, mu_l = a * t, b * t
 
     acc = 0.0
     n = bond - 1
@@ -214,8 +214,8 @@ def q_moment_product(mu, t, params, tol=1e-15):
     if q >= 1.0:
         raise ValueError("the q-moment closed form needs q < 1")
     lam_q, lam_inv = marginal_q_factors(mu, q)
-    mu_r = q_number(2 * k, q) * q ** (2 * k) * t
-    mu_l = q_number(2 * k, q) * q ** (-2 * k) * t
+    a, b = walker_rates(q, k)
+    mu_r, mu_l = a * t, b * t
 
     def series(start, step, value):
         acc = 0.0
@@ -240,8 +240,8 @@ def q_moment_product_series(mu, t, params, n_depth=400, tol=1e-15):
     of the compact two-term form."""
     q, k = params.q, params.k
     lam_q, lam_inv = marginal_q_factors(mu, q)
-    mu_r = q_number(2 * k, q) * q ** (2 * k) * t
-    mu_l = q_number(2 * k, q) * q ** (-2 * k) * t
+    a, b = walker_rates(q, k)
+    mu_r, mu_l = a * t, b * t
     span = int(4 * (mu_r + mu_l) + 40)
     acc = 0.0
     for n in range(-1, -n_depth - 1, -1):

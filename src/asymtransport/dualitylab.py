@@ -198,8 +198,8 @@ def d_asip_matrix(sector_eta, sector_xi, params, form="product"):
     comes from one table per site indexed by that row quantity and the
     column.  Each site then costs two in-place gather-multiplies.
     """
-    eta = sector_eta.array()
-    xi = sector_xi.array()
+    eta = sector_eta.configs
+    xi = sector_xi.configs
     if eta.shape[1] != xi.shape[1]:
         raise ValueError("eta and xi must have the same length")
     if form not in ("product", "pochhammer"):
@@ -424,9 +424,9 @@ def renormalized_dual_expectation(eta, ells, t, params):
     sector = configspace.enumerate_sector(L, int(xi0.sum()))
     p = ModelParams(q=params.q, k=params.k, L=L)
     gen = models.build_generator(sector, "asip", p)
-    d_vec = np.array([d_asip(eta, np.asarray(z), p) for z in sector.configs])
+    d_vec = np.array([d_asip(eta, z, p) for z in sector.configs])
     evolved = expm_multiply(gen.matrix * t, d_vec)
-    value = float(evolved[sector.index[tuple(xi0)]])
+    value = float(evolved[sector.rank(xi0[None])[0]])
     pref = 1.0
     for l in ells:
         pref *= params.q ** (-2.0 * tail_count(eta, l + 1))

@@ -29,6 +29,8 @@ import math
 
 import numpy as np
 
+from .currents import walker_rates
+
 __all__ = [
     "SeedTree", "TrajectoryLog", "simulate_ctmc", "simulate_batch",
     "simulate_dual_walker", "run_ensemble", "q_moment_ensemble",
@@ -264,11 +266,9 @@ def simulate_dual_walker(kind, start, t, params, rng):
       independent Poisson counts, which is how it is sampled.
     * ``sip_single``: jumps both ways at rate 2k.
     """
-    from .qcalc import q_number
     if kind == "asip_single":
-        q, k = params.q, params.k
-        mu_r = q_number(2 * k, q) * q ** (2 * k) * t
-        mu_l = q_number(2 * k, q) * q ** (-2 * k) * t
+        a, b = walker_rates(params.q, params.k)
+        mu_r, mu_l = a * t, b * t
     elif kind == "sip_single":
         mu_r = mu_l = 2.0 * params.k * t
     else:

@@ -27,7 +27,7 @@ from .qcalc import q_number, q_binomial, q_pochhammer
 
 __all__ = [
     "SparseRateMatrix", "asip_edge_rates", "sip_edge_rates", "qtazrp_rate",
-    "build_generator", "edge_rate_table",
+    "build_generator", "edge_rate_table", "edge_move_generator",
     "abep_generator_apply", "bep_generator_apply",
     "theta_edge", "adep_velocity", "adep_relax_pair",
     "asip_marginal_pmf", "asip_marginal_Z", "asip_marginal_Z_closed",
@@ -146,6 +146,27 @@ def edge_rate_table(model, params, n_max):
     return _RATE_TABLE_FNS[model](params.q, params.k, list(range(n_max + 1)))
 
 
+def edge_move_generator(sector, rates, new_left):
+    """Generator matrix of the moves (state, edge, choice) with positive
+    ``rates[s, e, c]``.  Edge e joins 0-based site e to site e + 1
+    (wrapping on a ring); a move leaves ``new_left[s, e, c]`` (broadcast to
+    the shape of ``rates``) on its left site and the rest of the edge
+    total on its right site.  Targets are ranked by ``Sector.rank``."""
+    a = np.arange(rates.shape[1])
+    b = (a + 1) % sector.L
+    # nonzero walks (state, edge, choice) in C order; SparseRateMatrix
+    # sums duplicate moves (L = 2 rings) in the order it receives them
+    rows, edge, choice = np.nonzero(rates > 0)
+    left = np.broadcast_to(new_left, rates.shape)[rows, edge, choice]
+    targets = sector.configs[rows]
+    move = np.arange(len(rows))
+    total = targets[move, a[edge]] + targets[move, b[edge]]
+    targets[move, a[edge]] = left
+    targets[move, b[edge]] = total - left
+    return SparseRateMatrix(len(sector), rows, sector.rank(targets),
+                            rates[rows, edge, choice])
+
+
 def build_generator(sector, model, params):
     """Generator matrix of the named model restricted to a sector.
 
@@ -154,8 +175,9 @@ def build_generator(sector, model, params):
     conditional split laws).
 
     The single-particle-move rates come from :func:`edge_rate_table`,
-    looked up at every state's edge occupancies at once, and the target
-    of every move is ranked in closed form (``Sector.rank``).
+    looked up at every state's edge occupancies at once; a jump to the
+    right leaves na - 1 particles on the left site, a jump to the left
+    na + 1 (:func:`edge_move_generator`).
     """
     if model in ("th_asip", "th_sip"):
         from . import thermal
@@ -167,22 +189,11 @@ def build_generator(sector, model, params):
     if sector.L != params.L:
         raise ValueError("sector length does not match params.L")
     right, left = edge_rate_table(model, params, sector.N)
-    configs = sector.array()
-    a = np.arange(params.n_edges)      # 0-based left site of each edge
-    b = (a + 1) % sector.L             # its right site, wrapping on a ring
-    na, nb = configs[:, a], configs[:, b]
-    rates = np.stack([right[na, nb], left[na, nb]], axis=2)
-    # nonzero walks (state, edge, right/left) in C order; SparseRateMatrix
-    # sums duplicate moves (L = 2 rings) in the order it receives them
-    rows, edge, leftward = np.nonzero(rates > 0)
-    src = np.where(leftward, b[edge], a[edge])
-    dst = np.where(leftward, a[edge], b[edge])
-    targets = configs[rows]
-    move = np.arange(len(rows))
-    targets[move, src] -= 1
-    targets[move, dst] += 1
-    return SparseRateMatrix(len(sector), rows, sector.rank(targets),
-                            rates[rows, edge, leftward])
+    a = np.arange(params.n_edges)
+    na, nb = sector.configs[:, a], sector.configs[:, (a + 1) % sector.L]
+    return edge_move_generator(
+        sector, np.stack([right[na, nb], left[na, nb]], axis=2),
+        np.stack([na - 1, na + 1], axis=2))
 
 
 def _abep_edge_coeffs(x, i, k, sigma):
@@ -390,7 +401,7 @@ def detailed_balance_residual(sector, model, params, weight_fn, scale=1e-300):
     model's generator on the sector."""
     gen = build_generator(sector, model, params)
     coo = gen.matrix.tocoo()
-    mu = np.array([weight_fn(np.asarray(c)) for c in sector.configs])
+    mu = np.array([weight_fn(c) for c in sector.configs])
     move = (coo.row != coo.col) & (coo.data > 0)
     r, c = coo.row[move], coo.col[move]
     flow = mu[r] * coo.data[move]
@@ -417,7 +428,7 @@ def ring_product_measure_gap(L, N, params):
     Q = build_generator(sector, "asip", p).toarray()
     null = np.linalg.svd(Q.T)[2][-1]    # singular values descend to 0
     log_pi = np.log(null / null.sum())
-    occ = sector.array()
+    occ = sector.configs
     counts = (occ[:, :, None] == np.arange(1, N + 1)).sum(axis=1)
     fit = np.column_stack([np.ones(len(occ)), counts])
     return float(np.abs(log_pi - fit @ (np.linalg.pinv(fit) @ log_pi)).max())

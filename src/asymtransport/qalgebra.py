@@ -39,6 +39,7 @@ as checks, are still Kronecker products.  Nothing here uses
 re-derivation.
 """
 
+from functools import reduce
 import math
 
 import numpy as np
@@ -49,7 +50,7 @@ from .qcalc import q_binomial, q_number
 __all__ = [
     "site_operators", "casimir_matrix", "commutator",
     "delta_casimir_pair", "hamiltonian_constant", "build_hamiltonian",
-    "embed", "coproduct_symmetries", "basis_index", "basis_config",
+    "coproduct_symmetries", "basis_index", "basis_config",
     "basis_occupations", "sector_indices", "splus_closed_form",
     "splus_from_qexp", "ground_state_vector", "derive_generator",
     "derive_duality", "pseudo_factorization_residual",
@@ -164,16 +165,10 @@ def delta_casimir_pair(k, q, n_max, form="explicit"):
     raise ValueError("unknown form %r" % (form,))
 
 
-def embed(op, site, L, n_max):
-    """Place a one- or two-site operator at (1-based) ``site`` in the
-    L-site tensor product, identity elsewhere; site 1 is the most
-    significant tensor factor."""
-    d = n_max + 1
-    width = round(math.log(op.shape[0], d))
-    out = np.eye(d ** (site - 1))
-    out = np.kron(out, op)
-    out = np.kron(out, np.eye(d ** (L - site + 1 - width)))
-    return out
+def _site_chain(before, local, after, i, L):
+    """The L-site tensor product of ``before`` at sites 1..i-1, ``local``
+    at site i and ``after`` at sites i+1..L (site 1 most significant)."""
+    return reduce(np.kron, [before] * (i - 1) + [local] + [after] * (L - i))
 
 
 def build_hamiltonian(L, k, q, n_max, form="explicit"):
@@ -216,45 +211,18 @@ def coproduct_symmetries(L, k, q, n_max):
     ``F = sum_i F_i K_(i+1)^-1...K_L^-1``.
     """
     ops = site_operators(k, q, n_max)
-    d = n_max + 1
-    dim = d ** L
-
-    def dressed(local, at):
-        factors = []
-        for j in range(1, L + 1):
-            if j < at:
-                factors.append(ops["qK0"])
-            elif j == at:
-                factors.append(local)
-            else:
-                factors.append(ops["qK0inv"])
-        m = factors[0]
-        for f in factors[1:]:
-            m = np.kron(m, f)
-        return m
-
-    Kp_L = np.zeros((dim, dim))
-    Km_L = np.zeros((dim, dim))
-    K0_L = np.zeros((dim, dim))
-    E_L = np.zeros((dim, dim))
-    F_L = np.zeros((dim, dim))
-    for i in range(1, L + 1):
-        Kp_L += dressed(ops["Kplus"], i)
-        Km_L += dressed(ops["Kminus"], i)
-        K0_L += embed(ops["K0"], i, L, n_max)
-        # E term: K_1 ... K_(i-1) E_i, identity to the right
-        factors = [ops["K"]] * (i - 1) + [ops["E"]] + [ops["identity"]] * (L - i)
-        m = factors[0]
-        for f in factors[1:]:
-            m = np.kron(m, f)
-        E_L += m
-        # F term: identity to the left, F_i K_(i+1)^-1 ... K_L^-1
-        factors = [ops["identity"]] * (i - 1) + [ops["F"]] + [ops["Kinv"]] * (L - i)
-        m = factors[0]
-        for f in factors[1:]:
-            m = np.kron(m, f)
-        F_L += m
-    return {"Kplus": Kp_L, "Kminus": Km_L, "K0": K0_L, "E": E_L, "F": F_L}
+    I, dim = ops["identity"], (n_max + 1) ** L
+    # (sites before i, site i, sites after i) of each summand
+    chains = {
+        "Kplus": (ops["qK0"], ops["Kplus"], ops["qK0inv"]),
+        "Kminus": (ops["qK0"], ops["Kminus"], ops["qK0inv"]),
+        "K0": (I, ops["K0"], I),
+        "E": (ops["K"], ops["E"], I),
+        "F": (I, ops["F"], ops["Kinv"]),
+    }
+    return {name: sum((_site_chain(*factors, i, L) for i in range(1, L + 1)),
+                      np.zeros((dim, dim)))
+            for name, factors in chains.items()}
 
 
 def basis_index(eta, n_max):
@@ -285,7 +253,7 @@ def basis_occupations(L, n_max):
 
 def sector_indices(sector, n_max):
     """Tensor-basis indices of all configurations of a sector."""
-    configs = sector.array()
+    configs = sector.configs
     if configs.max() > n_max:
         raise ValueError("occupation outside the truncated basis")
     return configs @ (n_max + 1) ** np.arange(sector.L - 1, -1, -1)
@@ -428,10 +396,7 @@ def pseudo_factorization_residual(L, k, q, n_max):
     lhs = splus_from_qexp(L, k, q, n_max)
     rhs = np.eye((n_max + 1) ** L)
     for i in range(1, L + 1):
-        factors = [ops["K"]] * (i - 1) + [ops["E"]] + [ops["identity"]] * (L - i)
-        m = factors[0]
-        for f in factors[1:]:
-            m = np.kron(m, f)
+        m = _site_chain(ops["K"], ops["E"], ops["identity"], i, L)
         rhs = rhs @ matrix_q_exp(m, q ** 2)
     scale = max(1.0, float(np.abs(lhs).max()))
     return float(np.abs(lhs - rhs).max()) / scale

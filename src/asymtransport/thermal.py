@@ -45,15 +45,25 @@ def qbetabinom_weights(n_tot, q, k):
     binom_q(2k + n_tot - r - 1, n_tot - r)``; this equals the two-site
     product-measure law conditioned on the sum, for any pair of adjacent
     sites (the site-dependent factors cancel).
+
+    Raises ValueError where the weights leave the float range.
     """
     r = np.arange(n_tot + 1)
-    w = np.array([
-        q ** (-4.0 * k * rr)
-        * q_binomial(rr + 2 * k - 1, rr, q)
-        * q_binomial(2 * k + (n_tot - rr) - 1, n_tot - rr, q)
-        for rr in r
-    ])
-    return w / w.sum()
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            w = np.array([
+                q ** (-4.0 * k * rr)
+                * q_binomial(rr + 2 * k - 1, rr, q)
+                * q_binomial(2 * k + (n_tot - rr) - 1, n_tot - rr, q)
+                for rr in r
+            ])
+        except OverflowError:   # a Python float power past the range
+            w = np.array([math.inf])
+        w = w / w.sum()
+    if not np.isfinite(w).all():
+        raise ValueError("the q-Beta-Binomial weights of n_tot = %d at "
+                         "q = %r, k = %r overflow a float" % (n_tot, q, k))
+    return w
 
 
 def qbetabinom_pmf(r, n_tot, q, k):
@@ -167,8 +177,8 @@ def sample_tilted_beta(E, sigma, k, rng, size=None):
 def th_asip_generator(sector, params):
     """Thermalized discrete generator: each edge redistributes its particle
     total by the q-deformed Beta-Binomial law at rate 1."""
-    return _thermal_generator(
-        sector, params.n_edges, params.boundary,
+    return _split_law_generator(
+        sector, params.n_edges,
         lambda n_tot: qbetabinom_weights(n_tot, params.q, params.k))
 
 
@@ -176,29 +186,22 @@ def th_sip_generator(sector, k, boundary="closed"):
     """Symmetric thermalized generator: Beta-Binomial(n_tot, 2k, 2k) rows;
     at k = 1/2 every row is a discrete uniform split."""
     n_edges = sector.L if boundary == "periodic" else sector.L - 1
-    return _thermal_generator(
-        sector, n_edges, boundary,
-        lambda n_tot: betabinom_weights(n_tot, k))
+    return _split_law_generator(
+        sector, n_edges, lambda n_tot: betabinom_weights(n_tot, k))
 
 
-def _thermal_generator(sector, n_edges, boundary, law):
-    rows, cols, rates = [], [], []
-    L = sector.L
-    for a, eta in enumerate(sector.configs):
-        for i in range(1, n_edges + 1):
-            si = i - 1
-            sj = 0 if (boundary == "periodic" and i == L) else i
-            n_tot = eta[si] + eta[sj]
-            pmf = law(n_tot)
-            for r in range(n_tot + 1):
-                if r == eta[si]:
-                    continue
-                tgt = list(eta)
-                tgt[si], tgt[sj] = r, n_tot - r
-                rows.append(a)
-                cols.append(sector.index[tuple(tgt)])
-                rates.append(float(pmf[r]))
-    return models.SparseRateMatrix(len(sector), rows, cols, rates)
+def _split_law_generator(sector, n_edges, law):
+    # an edge holding (na, nb) moves to (r, na + nb - r), r != na, at rate
+    # law(na + nb)[r]; row t of the table is law(t), zero past r = t
+    r = np.arange(sector.N + 1)
+    table = np.zeros((len(r), len(r)))
+    for n_tot in range(len(r)):
+        table[n_tot, :n_tot + 1] = law(n_tot)
+    a = np.arange(n_edges)
+    na, nb = sector.configs[:, a], sector.configs[:, (a + 1) % sector.L]
+    rates = table[na + nb]
+    rates[r == na[:, :, None]] = 0.0
+    return models.edge_move_generator(sector, rates, r)
 
 
 def th_abep_step(x, edge, params, rng):

@@ -323,6 +323,17 @@ def test_current_bad_monte_carlo_input_rejected(tmp_path, formula, bad):
     ["simulate", "--init", "1,-1,2", "--L", "3", "--t", "1"],
     ["simulate", "--init", "a,b", "--L", "2", "--t", "1"],
     ["simulate", "--init", "1,99999999999999999999", "--L", "2", "--t", "1"],
+    ["simulate", "--init", "a,b"],
+    ["simulate", "--init", "1,-1,2"],
+    ["simulate", "--init", "99999999999999999999,0"],
+    ["verify", "--suite", "measures", "--k", "0.75"],
+    ["verify", "--suite", "all", "--k", "0.75"],
+    ["verify", "--suite", "duality", "--k", "1e-100"],
+    ["verify", "--suite", "thermal", "--k", "1e-100"],
+    ["verify", "--suite", "thermal", "--q", "1", "--k", "1e-100"],
+    ["verify", "--suite", "algebra", "--q", "1", "--k", "1e-16"],
+    ["thermalize", "--sampler", "qbetabinom", "--n", "1200", "--q", "0.5"],
+    ["thermalize", "--sampler", "qbetabinom", "--n", "1000", "--q", "0.7"],
 ])
 def test_bad_sampler_and_simulate_input_rejected(tmp_path, argv):
     out = tmp_path / "out.csv"

@@ -108,21 +108,32 @@ def test_g_map_round_trip(xs, sigma):
 def test_sector_enumeration_count_and_index():
     sec = cs.enumerate_sector(3, 4)
     assert len(sec) == math.comb(4 + 2, 2)
+    assert sec.configs.shape == (len(sec), 3)
+    assert np.issubdtype(sec.configs.dtype, np.integer)
+    # every row is a distinct configuration of the sector, and each row's
+    # position is its index
+    assert len({tuple(c) for c in sec.configs.tolist()}) == len(sec)
     for j, c in enumerate(sec.configs):
-        assert sec.index[tuple(c)] == j
+        assert sec.rank(c[None])[0] == j
         assert sum(c) == 4
     # first listed config puts everything on the first site
     assert tuple(sec.configs[0]) == (4, 0, 0)
+
+
+def test_sector_configs_are_read_only():
+    sec = cs.enumerate_sector(3, 2)
+    with pytest.raises(ValueError):
+        sec.configs[0, 0] = 1
 
 
 def test_sector_rank_is_enumeration_order():
     for L in range(1, 7):
         for N in range(0, 7):
             sec = cs.enumerate_sector(L, N)
-            assert sec.rank(sec.array()).tolist() == list(range(len(sec)))
+            assert sec.rank(sec.configs).tolist() == list(range(len(sec)))
             # any subset, in any order, keeps its positions
             rows = np.arange(len(sec))[::-3]
-            assert sec.rank(sec.array()[rows]).tolist() == rows.tolist()
+            assert sec.rank(sec.configs[rows]).tolist() == rows.tolist()
 
 
 def test_sector_cap():

@@ -183,7 +183,7 @@ def test_ring_fit_is_exact_on_closed_chain_with_site_counts():
     null = linalg.null_space(Q.T)
     assert null.shape[1] == 1
     log_pi = np.log(null[:, 0] / null[:, 0].sum())
-    occ = sec.array()
+    occ = sec.configs
     site_counts = (occ[:, :, None] == np.arange(1, N + 1)).reshape(len(occ),
                                                                    -1)
     fit = np.column_stack([np.ones(len(occ)), site_counts])
@@ -312,6 +312,7 @@ def test_rates_nonnegative(q, k, na, nb):
 
 def _ref_build_generator(sector, model, params):
     rate_fn = _RATE_FNS[model]
+    index = {tuple(c): j for j, c in enumerate(sector.configs.tolist())}
     rows, cols, rates = [], [], []
     for a, eta in enumerate(sector.configs):
         ev = np.asarray(eta)
@@ -319,10 +320,10 @@ def _ref_build_generator(sector, model, params):
             si, sj = params.edge_sites(i)
             r_right, r_left = rate_fn(ev, i, params)
             if r_right > 0:
-                tgt = sector.index[tuple(cs.move_particle(ev, si, sj))]
+                tgt = index[tuple(cs.move_particle(ev, si, sj).tolist())]
                 rows.append(a); cols.append(tgt); rates.append(r_right)
             if r_left > 0:
-                tgt = sector.index[tuple(cs.move_particle(ev, sj, si))]
+                tgt = index[tuple(cs.move_particle(ev, sj, si).tolist())]
                 rows.append(a); cols.append(tgt); rates.append(r_left)
     return models.SparseRateMatrix(len(sector), rows, cols, rates)
 

@@ -243,6 +243,46 @@ def test_hamiltonian_matches_dense_kronecker_sum_bit_for_bit(L, n_max):
             assert H.tobytes() == ref.tobytes(), (q, k, form)
 
 
+# Reference: the global symmetries as they were assembled, one Kronecker
+# product per factor in a loop and the total K0 through an identity embed.
+# Kronecker products with identities are exact, so the bytes must agree.
+
+def _ref_coproduct_symmetries(L, k, q, n_max):
+    ops = qa.site_operators(k, q, n_max)
+    d = n_max + 1
+    dim = d ** L
+
+    def kron_all(factors):
+        m = factors[0]
+        for f in factors[1:]:
+            m = np.kron(m, f)
+        return m
+
+    out = {name: np.zeros((dim, dim))
+           for name in ("Kplus", "Kminus", "K0", "E", "F")}
+    for i in range(1, L + 1):
+        for name in ("Kplus", "Kminus"):
+            out[name] += kron_all([ops["qK0"]] * (i - 1) + [ops[name]]
+                                  + [ops["qK0inv"]] * (L - i))
+        out["K0"] += np.kron(np.kron(np.eye(d ** (i - 1)), ops["K0"]),
+                             np.eye(d ** (L - i)))
+        out["E"] += kron_all([ops["K"]] * (i - 1) + [ops["E"]]
+                             + [ops["identity"]] * (L - i))
+        out["F"] += kron_all([ops["identity"]] * (i - 1) + [ops["F"]]
+                             + [ops["Kinv"]] * (L - i))
+    return out
+
+
+@pytest.mark.parametrize("L,n_max", [(2, 4), (3, 3)])
+def test_coproduct_symmetries_bit_for_bit(L, n_max):
+    for q, k in ((0.85, 1.0), (0.6, 0.3), (1.0, 0.75)):
+        new = qa.coproduct_symmetries(L, k, q, n_max)
+        ref = _ref_coproduct_symmetries(L, k, q, n_max)
+        assert list(new) == list(ref)
+        for name in ref:
+            assert new[name].tobytes() == ref[name].tobytes(), (q, k, name)
+
+
 def test_sector_symmetry_residual_bit_for_bit():
     # reference: the residual as it was written, forming H @ S twice
     L, n_max = 3, 3

@@ -33,6 +33,15 @@ def test_qbetabinom_equals_conditioned_product():
     assert np.abs(pm - ref).max() < 1e-12
 
 
+@pytest.mark.parametrize("n_tot,q", [(1000, 0.7), (1200, 0.5)])
+def test_qbetabinom_rejects_weights_past_the_float_range(n_tot, q):
+    # (1000, 0.7) used to return NaN entries, (1200, 0.5) to overflow
+    with pytest.raises(ValueError):
+        thermal.qbetabinom_weights(n_tot, q, 0.5)
+    assert thermal.qbetabinom_weights(300, 0.7, 0.5).sum() == \
+        pytest.approx(1.0, abs=1e-12)
+
+
 def test_qbetabinom_reduces_to_betabinom_at_q_one():
     for r in range(6):
         assert thermal.qbetabinom_pmf(r, 5, 1.0, 0.75) == pytest.approx(
@@ -145,6 +154,57 @@ def test_th_sip_stationarity():
         for n in c)) for c in sec.configs])
     mu /= mu.sum()
     assert np.abs(mu @ gen.matrix.toarray()).max() < 1e-12
+
+
+# Reference: the per-state, per-edge loop that built the thermalized
+# generators before the split-law tables.  It calls the law once per
+# (state, edge) and finds each target by dictionary lookup; the table
+# version must feed the same triples in the same order.
+
+def _ref_thermal_generator(sector, n_edges, boundary, law):
+    index = {tuple(c): j for j, c in enumerate(sector.configs.tolist())}
+    rows, cols, rates = [], [], []
+    L = sector.L
+    for a, eta in enumerate(sector.configs.tolist()):
+        for i in range(1, n_edges + 1):
+            si = i - 1
+            sj = 0 if (boundary == "periodic" and i == L) else i
+            n_tot = eta[si] + eta[sj]
+            pmf = law(n_tot)
+            for r in range(n_tot + 1):
+                if r == eta[si]:
+                    continue
+                tgt = list(eta)
+                tgt[si], tgt[sj] = r, n_tot - r
+                rows.append(a)
+                cols.append(index[tuple(tgt)])
+                rates.append(float(pmf[r]))
+    return models.SparseRateMatrix(len(sector), rows, cols, rates)
+
+
+@pytest.mark.parametrize("boundary", ["closed", "periodic"])
+@pytest.mark.parametrize("model", ["th_asip", "th_sip"])
+def test_thermal_generator_matches_per_state_loop_bit_for_bit(model,
+                                                              boundary):
+    for L in range(2, 6):
+        for N in range(0, 7):
+            sec = cs.enumerate_sector(L, N)
+            for q, k in ((0.8, 0.5), (0.55, 1.5), (0.97, 0.3), (1.0, 0.75),
+                         (0.3, 2.3)):
+                p = ModelParams(q=q, k=k, L=L, boundary=boundary)
+                if model == "th_asip":
+                    def law(n_tot):
+                        return thermal.qbetabinom_weights(n_tot, q, k)
+                else:
+                    def law(n_tot):
+                        return thermal.betabinom_weights(n_tot, k)
+                new = models.build_generator(sec, model, p).matrix
+                ref = _ref_thermal_generator(sec, p.n_edges, boundary,
+                                             law).matrix
+                for name in ("indptr", "indices", "data"):
+                    a, b = getattr(new, name), getattr(ref, name)
+                    assert a.dtype == b.dtype
+                    assert a.tobytes() == b.tobytes(), (L, N, q, k, name)
 
 
 def test_th_abep_step_conserves_edge_energy():
