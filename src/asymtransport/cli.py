@@ -617,7 +617,7 @@ def cmd_thermalize(spec):
         except ValueError as exc:
             raise SystemExit("%s; lower --n or raise --q" % exc) from None
         draws = thermal.sample_qbetabinom(spec.n, spec.q, spec.k, rng,
-                                          size=spec.samples)
+                                          size=spec.samples, weights=exact)
         counts = np.bincount(draws, minlength=spec.n + 1) / spec.samples
         for r in range(spec.n + 1):
             lines.append("%d,%s,%s" % (r, _fmt(counts[r]), _fmt(exact[r])))

@@ -49,6 +49,8 @@ def qbetabinom_weights(n_tot, q, k):
     Raises ValueError where the weights leave the float range.
     """
     r = np.arange(n_tot + 1)
+    msg = ("the q-Beta-Binomial weights of n_tot = %d at q = %r, k = %r "
+           "overflow a float" % (n_tot, q, k))
     with np.errstate(over="ignore", invalid="ignore"):
         try:
             w = np.array([
@@ -58,11 +60,10 @@ def qbetabinom_weights(n_tot, q, k):
                 for rr in r
             ])
         except OverflowError:   # a Python float power past the range
-            w = np.array([math.inf])
+            raise ValueError(msg) from None
         w = w / w.sum()
     if not np.isfinite(w).all():
-        raise ValueError("the q-Beta-Binomial weights of n_tot = %d at "
-                         "q = %r, k = %r overflow a float" % (n_tot, q, k))
+        raise ValueError(msg)
     return w
 
 
@@ -72,9 +73,15 @@ def qbetabinom_pmf(r, n_tot, q, k):
     return float(qbetabinom_weights(n_tot, q, k)[r])
 
 
-def sample_qbetabinom(n_tot, q, k, rng, size=None):
-    """Exact inverse-CDF sampling over the finite support."""
-    cdf = np.cumsum(qbetabinom_weights(n_tot, q, k))
+def sample_qbetabinom(n_tot, q, k, rng, size=None, weights=None):
+    """Exact inverse-CDF sampling over the finite support.
+
+    ``weights`` is ``qbetabinom_weights(n_tot, q, k)`` when the caller
+    already holds it, so it is not built twice.
+    """
+    if weights is None:
+        weights = qbetabinom_weights(n_tot, q, k)
+    cdf = np.cumsum(weights)
     u = rng.random(size)
     return int(np.searchsorted(cdf, u)) if size is None \
         else np.searchsorted(cdf, u)

@@ -295,7 +295,12 @@ def test_marginal_law_against_matrix_exponential():
         probs = linalg.expm(t * Q)[row0]
         finals, _ = engine.simulate_batch(
             tables, [eta0] * reps, t, [tree.stream(r) for r in range(reps)])
-        counts = np.bincount(sec.rank(np.asarray(finals)), minlength=len(sec))
+        finals = np.asarray(finals)
+        rows = sec.rank(finals)
+        # rank does not check membership: a final state outside the
+        # (L, N) sector would be counted as some other state
+        assert (sec.configs[rows] == finals).all()
+        counts = np.bincount(rows, minlength=len(sec))
         freq = counts / reps
         se = np.sqrt(probs * (1 - probs) / reps)
         assert np.all(np.abs(freq - probs) <= 4 * se + 1e-9)

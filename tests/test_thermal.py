@@ -75,6 +75,11 @@ def test_sample_qbetabinom_frequencies():
         ref = thermal.qbetabinom_pmf(r, n_tot, q, k)
         se = math.sqrt(ref * (1 - ref) / 40000)
         assert abs((draws == r).mean() - ref) < 4 * se
+    # weights handed in give the same draws from the same stream
+    given = thermal.sample_qbetabinom(
+        n_tot, q, k, engine.SeedTree(3).stream(0), size=40000,
+        weights=thermal.qbetabinom_weights(n_tot, q, k))
+    assert np.array_equal(given, draws)
 
 
 @pytest.mark.parametrize("k,sE", [(0.5, 1.0), (1.0, 4.0), (0.75, 0.5)])
