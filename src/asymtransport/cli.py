@@ -24,6 +24,16 @@ __all__ = ["main", "ExperimentSpec", "SUITES"]
 
 SUITES = ("duality", "algebra", "measures", "thermal", "limits")
 
+# The values each command's choice fields take, shared by the flags and
+# the config-file loader.
+CHOICES = {
+    "verify": {"suite": SUITES + ("all",)},
+    "simulate": {"model": ("asip", "sip", "qtazrp")},
+    "current": {"formula": ("q-step", "q-product", "energy-product")},
+    "rate": {"model": ("asip", "sip")},
+    "thermalize": {"sampler": ("qbetabinom", "tilted-beta", "kmp")},
+}
+
 STOCHASTIC_COMMANDS = ("simulate", "current", "thermalize")
 
 EXP_MAX = math.log(sys.float_info.max)  # the largest x math.exp takes
@@ -76,8 +86,15 @@ class ExperimentSpec:
 
     @classmethod
     def load(cls, path, command):
+        """The spec of ``command`` from the file's section of that name;
+        a value that its flag would reject ends in a usage message."""
         cp = configparser.ConfigParser()
-        if not cp.read(path):
+        try:
+            found = cp.read(path)
+        except configparser.Error as exc:
+            raise SystemExit("cannot parse config file %r: %s"
+                             % (path, exc)) from None
+        if not found:
             raise SystemExit("cannot read config file %r" % path)
         spec = cls(command=command)
         if command not in cp:
@@ -86,12 +103,17 @@ class ExperimentSpec:
             if f.name == "command" or f.name not in cp[command]:
                 continue
             raw = cp[command][f.name]
-            if f.type is str or f.name in ("init", "out"):
-                setattr(spec, f.name, raw.strip("'\""))
-            elif f.type is int:
-                setattr(spec, f.name, int(raw))
-            else:
-                setattr(spec, f.name, float(raw))
+            try:
+                value = raw.strip("'\"") if f.type is str else f.type(raw)
+            except ValueError:
+                raise SystemExit("config file %r: %s = %s is not of type %s"
+                                 % (path, f.name, raw, f.type.__name__)) \
+                    from None
+            choices = CHOICES[command].get(f.name)
+            if choices and value not in choices:
+                raise SystemExit("config file %r: %s = %r is not one of %s"
+                                 % (path, f.name, value, ", ".join(choices)))
+            setattr(spec, f.name, value)
         return spec
 
 
@@ -382,6 +404,10 @@ def _suite_params(suite, spec):
             for q in qs for n in range(5)):
         raise SystemExit("the %s suite needs a --k whose 2k is not lost in "
                          "[2k + n]_q for n <= 4, got %r" % (suite, spec.k))
+    # the thermal suite's split means are taken at energies E = s / sigma
+    if suite == "thermal" and not spec.sigma > 0.0:
+        raise SystemExit("the thermal suite needs a finite --sigma > 0, "
+                         "got %r" % spec.sigma)
     p = ModelParams(q=spec.q, k=spec.k, sigma=spec.sigma)
     if suite == "measures" and not p.two_k_integer:
         raise SystemExit("the measures suite checks closed forms that need "
@@ -421,11 +447,14 @@ def _initial_config(spec):
         if len(eta) != spec.L:
             raise SystemExit("init length %d does not match L=%d"
                              % (len(eta), spec.L))
-        return eta
-    if spec.n > spec.L:
-        raise SystemExit("default initial condition needs n <= L "
+    elif not 0 <= spec.n <= spec.L:
+        raise SystemExit("default initial condition needs 0 <= n <= L "
                          "(one particle per site from the left)")
-    return np.array([1] * spec.n + [0] * (spec.L - spec.n))
+    else:
+        eta = np.array([1] * spec.n + [0] * (spec.L - spec.n))
+    if len(eta) < 2:
+        raise SystemExit("need a chain of L >= 2 sites, got %d" % len(eta))
+    return eta
 
 
 def cmd_simulate(spec):
@@ -535,6 +564,9 @@ def cmd_current(spec):
     res = engine.q_moment_ensemble(tables, init, half + spec.bond, spec.q,
                                    spec.t, spec.replicas, spec.seed)
     mc, se = float(res.mean[0]), float(res.se[0])
+    if se == 0.0:
+        raise SystemExit("every replica gave q^(2J) = %s, so there is no "
+                         "standard error and no z score" % _fmt(mc))
     row = currents.comparison_row(spec.formula, digest, theory, mc, se)
     rows.append("%s,%s,%s,%s,%s,%s" % (
         row["formula"], row["param_hash"], _fmt(row["theory"]),
@@ -679,14 +711,14 @@ def build_parser():
 
     v = sp.add_parser("verify", help="run an identity verification suite")
     _add_common(v)
-    v.add_argument("--suite", choices=SUITES + ("all",))
+    v.add_argument("--suite", choices=CHOICES["verify"]["suite"])
     v.add_argument("--perturb-q", type=float, dest="perturb_q",
                    help="fault injection: offset q on one side of each "
                         "identity; a nonzero value must make the suite fail")
 
     s = sp.add_parser("simulate", help="exact trajectory ensembles")
     _add_common(s)
-    s.add_argument("--model", choices=("asip", "sip", "qtazrp"))
+    s.add_argument("--model", choices=CHOICES["simulate"]["model"])
     s.add_argument("--L", type=int)
     s.add_argument("--n", type=int)
     s.add_argument("--init", help="explicit initial occupancies, "
@@ -696,8 +728,7 @@ def build_parser():
 
     c = sp.add_parser("current", help="theory-vs-simulation current moments")
     _add_common(c)
-    c.add_argument("--formula",
-                   choices=("q-step", "q-product", "energy-product"))
+    c.add_argument("--formula", choices=CHOICES["current"]["formula"])
     c.add_argument("--t", type=float)
     c.add_argument("--bond", type=int)
     c.add_argument("--window", type=int)
@@ -711,7 +742,7 @@ def build_parser():
 
     r = sp.add_parser("rate", help="rate function grid and growth rate")
     _add_common(r)
-    r.add_argument("--model", choices=("asip", "sip"))
+    r.add_argument("--model", choices=CHOICES["rate"]["model"])
     r.add_argument("--x-min", type=float, dest="x_min")
     r.add_argument("--x-max", type=float, dest="x_max")
     r.add_argument("--points", type=int)
@@ -720,7 +751,7 @@ def build_parser():
 
     t = sp.add_parser("thermalize", help="redistribution sampler diagnostics")
     _add_common(t)
-    t.add_argument("--sampler", choices=("qbetabinom", "tilted-beta", "kmp"))
+    t.add_argument("--sampler", choices=CHOICES["thermalize"]["sampler"])
     t.add_argument("--n", type=int)
     t.add_argument("--energy", type=float)
     t.add_argument("--bins", type=int)

@@ -15,9 +15,7 @@ from . import qcalc
 
 __all__ = [
     "ModelParams", "as_discrete_config", "as_continuous_config",
-    "move_particle", "tail_count", "partial_energy", "total_energy",
-    "g_map", "g_inverse", "Sector", "enumerate_sector",
-    "config_to_line", "config_from_line",
+    "tail_count", "g_map", "Sector", "enumerate_sector", "config_from_line",
 ]
 
 SECTOR_CAP = 2_000_000
@@ -87,20 +85,6 @@ def as_continuous_config(x):
     return x
 
 
-def move_particle(eta, i, j):
-    """Move one particle from site i to site j (1-based), returning a copy."""
-    eta = as_discrete_config(eta)
-    L = len(eta)
-    if not (1 <= i <= L and 1 <= j <= L) or i == j:
-        raise IndexError("bad site pair (%d, %d)" % (i, j))
-    if eta[i - 1] == 0:
-        raise ValueError("site %d is empty" % i)
-    out = eta.copy()
-    out[i - 1] -= 1
-    out[j - 1] += 1
-    return out
-
-
 def tail_count(eta, i):
     """N_i: number of particles at sites i..L; N_{L+1} = 0."""
     L = len(eta)
@@ -109,26 +93,14 @@ def tail_count(eta, i):
     return int(np.sum(eta[i - 1:]))
 
 
-def partial_energy(x, i):
-    """E_i: total energy at sites i..L; E_{L+1} = 0."""
-    L = len(x)
-    if not 1 <= i <= L + 1:
-        raise IndexError("site index %d out of 1..%d" % (i, L + 1))
-    return float(np.sum(x[i - 1:]))
-
-
-def total_energy(x):
-    return float(np.sum(x))
-
-
 def g_map(x, sigma):
     """Coordinate change conjugating the asymmetric energy diffusion to the
     symmetric one.
 
     ``g_i(x) = (exp(-2 sigma E_{i+1}) - exp(-2 sigma E_i)) / (2 sigma)``
     with E_i the partial energies.  sigma = 0 returns x unchanged (the map
-    tends to the identity).  The image always satisfies
-    ``total_energy(g(x)) < 1/(2 sigma)``.
+    tends to the identity).  The entries of the image always sum to less
+    than ``1/(2 sigma)``.
     """
     x = as_continuous_config(x)
     if sigma == 0.0:
@@ -136,19 +108,6 @@ def g_map(x, sigma):
     suffix = np.concatenate([np.cumsum(x[::-1])[::-1], [0.0]])
     return (np.exp(-2.0 * sigma * suffix[1:]) - np.exp(-2.0 * sigma * suffix[:-1])) \
         / (2.0 * sigma)
-
-
-def g_inverse(z, sigma):
-    """Inverse of g_map; z must have total energy < 1/(2 sigma)."""
-    z = np.asarray(z, dtype=float)
-    if sigma == 0.0:
-        return z.copy()
-    suffix = np.concatenate([np.cumsum(z[::-1])[::-1], [0.0]])
-    top = 1.0 - 2.0 * sigma * suffix[1:]
-    bot = 1.0 - 2.0 * sigma * suffix[:-1]
-    if (bot <= 0.0).any() or (top <= 0.0).any():
-        raise ValueError("z outside the image of g_map (needs total < 1/(2 sigma))")
-    return np.log(top / bot) / (2.0 * sigma)
 
 
 @dataclass(frozen=True, eq=False)
@@ -207,16 +166,7 @@ def enumerate_sector(L, N, cap=SECTOR_CAP):
     return Sector(L=L, N=N, configs=configs)
 
 
-def config_to_line(v):
-    """Flat comma-separated text form of a configuration."""
-    v = np.asarray(v)
-    if np.issubdtype(v.dtype, np.integer):
-        return ",".join(str(int(a)) for a in v)
-    return ",".join(repr(float(a)) for a in v)
-
-
-def config_from_line(line, kind="discrete"):
+def config_from_line(line):
+    """Occupation vector from its comma-separated text form."""
     parts = [p for p in line.strip().split(",") if p != ""]
-    if kind == "discrete":
-        return as_discrete_config([int(p) for p in parts])
-    return as_continuous_config([float(p) for p in parts])
+    return as_discrete_config([int(p) for p in parts])

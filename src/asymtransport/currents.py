@@ -28,9 +28,8 @@ import numpy as np
 from .qcalc import q_number, skellam_pmf, symmetric_walk_pmf
 
 __all__ = [
-    "rate_function", "rate_function_sym",
-    "rate_function_legendre", "walker_rates",
-    "growth_rate", "growth_rate_discrete", "growth_rate_continuous",
+    "rate_function", "rate_function_legendre", "walker_rates",
+    "growth_rate", "growth_rate_discrete",
     "q_moment_fixed_config", "q_moment_product", "q_moment_product_series",
     "marginal_q_factors",
     "abep_moment_fixed", "abep_moment_product",
@@ -58,25 +57,20 @@ def walker_rates(q, k):
     return base * q ** (2 * k), base * q ** (-2 * k)
 
 
-def rate_function_sym(x, k):
-    """Rate function of the symmetric rate-2k walker:
-    ``4k - sqrt(x^2 + 16 k^2) + x ln((x + sqrt(x^2 + 16 k^2))/(4k))``."""
-    return rate_function(x, 2.0 * k, 2.0 * k)
-
-
-def rate_function_legendre(x, a, b, z_span=60.0, n_grid=200_001):
+def rate_function_legendre(x, a, b):
     """Independent evaluation of the rate function as the numerical
     Legendre transform ``sup_z (z x - a(e^z - 1) - b(e^-z - 1))``,
-    by golden-section refinement of a coarse grid maximum."""
+    by golden-section refinement of the maximum over a grid of 200001
+    points on [-60, 60]."""
     from scipy import optimize
 
     def neg(z):
         return -(z * x - a * math.expm1(z) - b * math.expm1(-z))
 
-    zs = np.linspace(-z_span, z_span, n_grid)
+    zs = np.linspace(-60.0, 60.0, 200_001)
     vals = zs * x - a * np.expm1(zs) - b * np.expm1(-zs)
     j = int(np.argmax(vals))
-    lo, hi = zs[max(0, j - 1)], zs[min(n_grid - 1, j + 1)]
+    lo, hi = zs[max(0, j - 1)], zs[min(len(zs) - 1, j + 1)]
     res = optimize.minimize_scalar(neg, bracket=None, bounds=(lo, hi),
                                    method="bounded",
                                    options={"xatol": 1e-14})
@@ -120,16 +114,7 @@ def growth_rate_discrete(mu, q, k):
     return growth_rate(math.log(q ** (-4.0 * k) * lam_inv), a, b)
 
 
-def growth_rate_continuous(lam_plus, k):
-    """Long-time growth rate of ``E[e^(-2 sigma J_i(t))]`` under a product
-    initial law with ``lam_plus = E[e^(2 sigma x)]``."""
-    if lam_plus < 1.0:
-        raise ValueError("E[exp(2 sigma x)] is >= 1 for x >= 0")
-    return growth_rate(math.log(lam_plus), 2.0 * k, 2.0 * k)
-
-
-def q_moment_fixed_config(eta_window, window_start, bond, t, params,
-                          tol=1e-14, max_extra=4000):
+def q_moment_fixed_config(eta_window, window_start, bond, t, params):
     """``E[q^(2 J_bond(t))]`` for a deterministic initial configuration
     supported on a finite window of the integer line.
 
@@ -151,7 +136,8 @@ def q_moment_fixed_config(eta_window, window_start, bond, t, params,
     ``1 - q^(-2 eta_m)`` vanishes off the occupied sites, so each walker
     expectation is a finite Skellam sum over the occupied window; the
     starting-point sum is extended left of the window until its terms are
-    below ``tol`` relative to the accumulated value.
+    below 1e-14 relative to the accumulated value, and raises
+    RuntimeError if that takes more than 4000 sites.
     """
     q, k = params.q, params.k
     if q >= 1.0:
@@ -192,15 +178,15 @@ def q_moment_fixed_config(eta_window, window_start, bond, t, params,
         acc += term
         if n < occ.min():
             below_window += 1
-            if abs(term) <= tol * max(abs(acc), 1e-300):
+            if abs(term) <= 1e-14 * max(abs(acc), 1e-300):
                 break
-            if below_window > max_extra:
+            if below_window > 4000:
                 raise RuntimeError("walker sum did not converge")
         n -= 1
     return first - acc
 
 
-def q_moment_product(mu, t, params, tol=1e-15):
+def q_moment_product(mu, t, params):
     """``E[q^(2 J(t))]`` under the homogeneous product initial law with
     marginal pmf ``mu`` on the infinite chain:
 
@@ -223,7 +209,7 @@ def q_moment_product(mu, t, params, tol=1e-15):
         while True:
             term = skellam_pmf(m, mu_r, mu_l) * value(m)
             acc += term
-            if abs(term) <= tol * max(abs(acc), 1e-300) and abs(m) > 4 * (
+            if abs(term) <= 1e-15 * max(abs(acc), 1e-300) and abs(m) > 4 * (
                     mu_r + mu_l) + 10:
                 return acc
             m += step
@@ -233,18 +219,18 @@ def q_moment_product(mu, t, params, tol=1e-15):
     return left + right
 
 
-def q_moment_product_series(mu, t, params, n_depth=400, tol=1e-15):
+def q_moment_product_series(mu, t, params):
     """Independent evaluation of the product-law q-moment directly from
-    the walker representation, summing over starting points n <= -1 and
-    integrating the marginal factors site by site; used as a cross-check
-    of the compact two-term form."""
+    the walker representation, summing over starting points -400 <= n <=
+    -1 and integrating the marginal factors site by site; used as a
+    cross-check of the compact two-term form."""
     q, k = params.q, params.k
     lam_q, lam_inv = marginal_q_factors(mu, q)
     a, b = walker_rates(q, k)
     mu_r, mu_l = a * t, b * t
     span = int(4 * (mu_r + mu_l) + 40)
     acc = 0.0
-    for n in range(-1, -n_depth - 1, -1):
+    for n in range(-1, -401, -1):
         ms = np.arange(n - span, n + span + 1)
         pmf = skellam_pmf(ms - n, mu_r, mu_l)
         # product-law average of q^(2(N_(m+1) - N_0)) - q^(2(N_m - N_0))
@@ -253,12 +239,12 @@ def q_moment_product_series(mu, t, params, n_depth=400, tol=1e-15):
             - np.where(ms <= 0, lam_q ** (-ms), lam_inv ** ms)
         term = q ** (4.0 * k * n) * float(np.dot(pmf, q ** (-4.0 * k * ms) * avg))
         acc += term
-        if abs(term) < tol * max(1.0, abs(acc)) and n < -span:
+        if abs(term) < 1e-15 * max(1.0, abs(acc)) and n < -span:
             break
     return acc
 
 
-def abep_moment_fixed(x_window, window_start, bond, t, k, sigma, tol=1e-15):
+def abep_moment_fixed(x_window, window_start, bond, t, k, sigma):
     """``E[e^(-2 sigma J_bond(t))]`` for a deterministic energy profile
     supported on a finite window:
 
@@ -289,8 +275,8 @@ def abep_moment_fixed(x_window, window_start, bond, t, k, sigma, tol=1e-15):
                                         - e_bond))))
     p_in = float(np.sum(pmf))
     # walker left of the window sees the full energy, right of it sees none
-    p_left = _walk_tail(lo - 1 - bond, rate_t, side="left", tol=tol)
-    p_right = _walk_tail(hi + 1 - bond, rate_t, side="right", tol=tol)
+    p_left = _walk_tail(lo - 1 - bond, rate_t, side="left")
+    p_right = _walk_tail(hi + 1 - bond, rate_t, side="right")
     out = bulk
     out += math.exp(-2.0 * sigma * (float(energies[0]) - e_bond)) * p_left
     out += math.exp(2.0 * sigma * e_bond) * p_right
@@ -301,7 +287,7 @@ def abep_moment_fixed(x_window, window_start, bond, t, k, sigma, tol=1e-15):
     return out
 
 
-def _walk_tail(edge, rate_t, side, tol):
+def _walk_tail(edge, rate_t, side):
     """P(walk displacement <= edge) or >= edge for the symmetric walk."""
     step = -1 if side == "left" else +1
     acc = 0.0
@@ -309,12 +295,12 @@ def _walk_tail(edge, rate_t, side, tol):
     while True:
         term = float(symmetric_walk_pmf(d, rate_t))
         acc += term
-        if term <= tol * max(acc, 1e-300) and abs(d) > 2 * rate_t + 10:
+        if term <= 1e-15 * max(acc, 1e-300) and abs(d) > 2 * rate_t + 10:
             return acc
         d += step
 
 
-def abep_moment_product(lam_plus, lam_minus, t, k, tol=1e-15):
+def abep_moment_product(lam_plus, lam_minus, t, k):
     """``E[e^(-2 sigma J(t))]`` under a homogeneous product initial energy
     law with ``lam_plus = E[e^(2 sigma x)]``, ``lam_minus =
     E[e^(-2 sigma x)]``:
@@ -330,7 +316,7 @@ def abep_moment_product(lam_plus, lam_minus, t, k, tol=1e-15):
         term = float(symmetric_walk_pmf(l, rate_t)) \
             * (lam_plus ** l + lam_minus ** l)
         acc += term
-        if term <= tol * max(acc, 1e-300) and l > 2 * rate_t + 10:
+        if term <= 1e-15 * max(acc, 1e-300) and l > 2 * rate_t + 10:
             return acc
         l += 1
 
@@ -342,7 +328,7 @@ def param_hash(*values):
 
 
 def comparison_row(formula, params_digest, theory, mc_mean, mc_se):
-    """One row of a theory-vs-simulation table."""
-    z = (theory - mc_mean) / mc_se if mc_se > 0 else float("inf")
+    """One row of a theory-vs-simulation table; ``mc_se`` must be > 0."""
+    z = (theory - mc_mean) / mc_se
     return {"formula": formula, "param_hash": params_digest,
             "theory": theory, "mc": mc_mean, "se": mc_se, "z": z}

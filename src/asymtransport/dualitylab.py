@@ -10,16 +10,13 @@ Provided duality functions:
 
 * ``d_asip``   -- self-duality kernel of the asymmetric inclusion process,
   in two algebraically equivalent forms;
-* ``d_sip``    -- its q = 1 limit, the classical inclusion-process kernel;
 * ``d_abep``   -- kernel coupling the asymmetric energy diffusion to the
-  symmetric inclusion process (all asymmetry sits in the kernel);
-* ``d_akmp``   -- the k = 1/2 specialization, dual to uniform redistribution.
+  symmetric inclusion process (all asymmetry sits in the kernel); at
+  k = 1/2 it is dual to uniform energy redistribution.
 
-``scipy.integrate`` and ``scipy.sparse.linalg.expm_multiply`` are imported
-inside the two functions that use them
-(:func:`thermal_continuous_duality_residual` and
-:func:`renormalized_dual_expectation`): neither is on a simulation path,
-and loading them with the package would add about 0.2 s to every start.
+``scipy.integrate`` is imported inside the one function that uses it
+(:func:`thermal_continuous_duality_residual`): it is not on a simulation
+path, and loading it with the package would add to every start.
 """
 
 from dataclasses import dataclass
@@ -33,13 +30,13 @@ from .configspace import ModelParams, tail_count
 from .qcalc import q_binomial, q_pochhammer
 
 __all__ = [
-    "CheckReport", "d_asip", "d_sip", "d_abep", "d_akmp",
+    "CheckReport", "d_asip", "d_abep",
     "dual_occupation", "d_asip_single", "d_asip_multi", "d_asip_matrix",
     "form_conversion_factor",
     "generator_duality_residual", "verify_selfduality_asip",
     "sip_dual_action", "verify_abep_sip_duality", "verify_g_map_conjugation",
     "duality_scaling_limit_check", "verify_thermal_selfduality",
-    "thermal_continuous_duality_residual", "renormalized_dual_expectation",
+    "thermal_continuous_duality_residual",
 ]
 
 
@@ -118,18 +115,6 @@ def _site_ratio(n, m, params, form):
         / q_pochhammer(q ** (4 * k), q ** 2, m)
 
 
-def d_sip(eta, xi, k):
-    """Symmetric-limit duality kernel
-    ``prod_i eta_i!/(eta_i - xi_i)! Gamma(2k)/Gamma(2k + xi_i)``."""
-    eta = np.asarray(eta, dtype=int)
-    xi = np.asarray(xi, dtype=int)
-    if (xi > eta).any():
-        return 0.0
-    logs = (gammaln(eta + 1.0) - gammaln(eta - xi + 1.0)
-            + gammaln(2.0 * k) - gammaln(2.0 * k + xi))
-    return float(np.exp(logs.sum()))
-
-
 def d_abep(x, xi, params):
     """Kernel coupling the asymmetric energy diffusion to the symmetric
     inclusion process: ``prod_i Gamma(2k)/Gamma(2k + xi_i) g_i(x)^xi_i``
@@ -141,16 +126,6 @@ def d_abep(x, xi, params):
     out = 1.0
     for gi, m in zip(g, xi):
         out *= math.exp(gammaln(2.0 * k) - gammaln(2.0 * k + m)) * gi ** m
-    return float(out)
-
-
-def d_akmp(x, xi, sigma):
-    """k = 1/2 kernel ``prod_i g_i(x)^xi_i / xi_i!``."""
-    xi = np.asarray(xi, dtype=int)
-    g = configspace.g_map(x, sigma)
-    out = 1.0
-    for gi, m in zip(g, xi):
-        out *= gi ** m / math.factorial(int(m))
     return float(out)
 
 
@@ -249,7 +224,7 @@ def generator_duality_residual(gen_eta, gen_xi, D):
 
 
 def verify_selfduality_asip(L, n_eta, n_xi, params, form="product",
-                            threshold=1e-10, thermal_version=False):
+                            thermal_version=False):
     """Check the self-duality identity at the generator level on the
     (L, n_eta) x (L, n_xi) sector pair."""
     s_eta = configspace.enumerate_sector(L, n_eta)
@@ -263,7 +238,7 @@ def verify_selfduality_asip(L, n_eta, n_xi, params, form="product",
     return CheckReport(
         name=("thermal-self-duality" if thermal_version else "self-duality"),
         params=dict(L=L, n_eta=n_eta, n_xi=n_xi, q=p.q, k=p.k, form=form),
-        residual=res, threshold=threshold)
+        residual=res, threshold=1e-10)
 
 
 def sip_dual_action(D_of_xi, xi, k):
@@ -289,13 +264,13 @@ def _moved(xi, src0, dst0):
     return out
 
 
-def verify_abep_sip_duality(x, xi, params, h=1e-4, threshold=1e-5):
+def verify_abep_sip_duality(x, xi, params):
     """Residual of the diffusion-side duality at one point: the edge-sum of
     the diffusion generator applied to ``D(., xi)`` at x, against the
     symmetric inclusion generator applied to ``D(x, .)`` at xi.
 
     The diffusion side is evaluated by Richardson-extrapolated central
-    differences with step h; the discrete side is exact.
+    differences with step 1e-4; the discrete side is exact.
     """
     x = np.asarray(x, dtype=float)
     xi = np.asarray(xi, dtype=int)
@@ -303,17 +278,17 @@ def verify_abep_sip_duality(x, xi, params, h=1e-4, threshold=1e-5):
     def kernel_at(y):
         return d_abep(y, xi, params)
 
-    lhs = sum(models.abep_generator_apply(kernel_at, x, i, params, h=h)
+    lhs = sum(models.abep_generator_apply(kernel_at, x, i, params, h=1e-4)
               for i in range(1, len(x)))
     rhs = sip_dual_action(lambda z: d_abep(x, z, params), xi, params.k)
     scale = max(1.0, abs(lhs), abs(rhs))
     return CheckReport(
         name="abep-sip-duality",
         params=dict(sigma=params.sigma, k=params.k, L=len(x)),
-        residual=abs(lhs - rhs) / scale, threshold=threshold)
+        residual=abs(lhs - rhs) / scale, threshold=1e-5)
 
 
-def verify_g_map_conjugation(f, x, params, h=1e-4, threshold=1e-5):
+def verify_g_map_conjugation(f, x, params):
     """Residual of the conjugation identity: applying the symmetric edge
     diffusion to f at g(x) equals applying the asymmetric one to f o g
     at x, for every edge."""
@@ -321,14 +296,15 @@ def verify_g_map_conjugation(f, x, params, h=1e-4, threshold=1e-5):
     gx = configspace.g_map(x, params.sigma)
     worst = 0.0
     for i in range(1, len(x)):
-        lhs = models.bep_generator_apply(f, gx, i, params.k, h=h)
+        lhs = models.bep_generator_apply(f, gx, i, params.k, h=1e-4)
         rhs = models.abep_generator_apply(
-            lambda y: f(configspace.g_map(y, params.sigma)), x, i, params, h=h)
+            lambda y: f(configspace.g_map(y, params.sigma)), x, i, params,
+            h=1e-4)
         worst = max(worst, abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs)))
     return CheckReport(
         name="g-map-conjugation",
         params=dict(sigma=params.sigma, k=params.k, L=len(x)),
-        residual=worst, threshold=threshold)
+        residual=worst, threshold=1e-5)
 
 
 def duality_scaling_limit_check(x, xi, sigma, k, n_list):
@@ -357,14 +333,14 @@ def duality_scaling_limit_check(x, xi, sigma, k, n_list):
     return errors, target
 
 
-def verify_thermal_selfduality(L, n_eta, n_xi, params, threshold=1e-10):
+def verify_thermal_selfduality(L, n_eta, n_xi, params):
     """Generator-level self-duality of the thermalized discrete process,
     with the same kernel as the un-thermalized one."""
     return verify_selfduality_asip(L, n_eta, n_xi, params,
-                                   threshold=threshold, thermal_version=True)
+                                   thermal_version=True)
 
 
-def thermal_continuous_duality_residual(x, xi, params, threshold=1e-9):
+def thermal_continuous_duality_residual(x, xi, params):
     """Edge-wise duality between the thermalized continuous model and the
     thermalized symmetric inclusion process.
 
@@ -402,32 +378,4 @@ def thermal_continuous_duality_residual(x, xi, params, threshold=1e-9):
     return CheckReport(
         name="thermal-continuous-duality",
         params=dict(sigma=sigma, k=k, L=len(x)),
-        residual=worst, threshold=threshold)
-
-
-def renormalized_dual_expectation(eta, ells, t, params):
-    """Renormalized dual observable of a finite window configuration.
-
-    Evolves n dual particles started at the (1-based) sites ``ells`` under
-    the dual dynamics for time t (exact matrix exponential on the dual
-    sector) and returns
-
-    ``prod_m q^(-2 N_(ell_m + 1)(eta)) * E[D(eta, xi(t))]``.
-
-    The renormalizing prefactor is what keeps the observable finite when
-    the window grows into a configuration with infinitely many particles.
-    """
-    from scipy.sparse.linalg import expm_multiply
-    eta = np.asarray(eta, dtype=int)
-    L = len(eta)
-    xi0 = dual_occupation(ells, L)
-    sector = configspace.enumerate_sector(L, int(xi0.sum()))
-    p = ModelParams(q=params.q, k=params.k, L=L)
-    gen = models.build_generator(sector, "asip", p)
-    d_vec = np.array([d_asip(eta, z, p) for z in sector.configs])
-    evolved = expm_multiply(gen.matrix * t, d_vec)
-    value = float(evolved[sector.rank(xi0[None])[0]])
-    pref = 1.0
-    for l in ells:
-        pref *= params.q ** (-2.0 * tail_count(eta, l + 1))
-    return pref * value
+        residual=worst, threshold=1e-9)

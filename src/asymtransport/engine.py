@@ -29,12 +29,9 @@ import math
 
 import numpy as np
 
-from .currents import walker_rates
-
 __all__ = [
     "SeedTree", "TrajectoryLog", "simulate_ctmc", "simulate_batch",
-    "simulate_dual_walker", "run_ensemble", "q_moment_ensemble",
-    "EnsembleResult",
+    "run_ensemble", "q_moment_ensemble", "EnsembleResult",
 ]
 
 BATCH = 2048  # replicas that q_moment_ensemble advances in lockstep
@@ -67,38 +64,6 @@ class TrajectoryLog:
     t_final: float
     events: list = field(default_factory=list)
     final: np.ndarray = None
-
-    def final_config(self):
-        if self.final is not None:
-            return self.final
-        eta = np.asarray(self.initial).copy()
-        for _, edge, direction in self.events:
-            if direction > 0:
-                eta[edge - 1] -= 1
-                eta[edge] += 1
-            else:
-                eta[edge - 1] += 1
-                eta[edge] -= 1
-        return eta
-
-    def current_at(self, i, t):
-        """Net signed crossings of bond (i-1, i) up to time t; i = 1 (no bond
-        to the left of the first site) gives 0 identically."""
-        edge = i - 1
-        if edge < 1:
-            return 0
-        return sum(int(d) for (s, e, d) in self.events if e == edge and s <= t)
-
-    def to_lines(self):
-        return ["%.17g,%d,%d" % ev for ev in self.events]
-
-    @staticmethod
-    def events_from_lines(lines):
-        out = []
-        for line in lines:
-            t, e, d = line.strip().split(",")
-            out.append((float(t), int(e), int(d)))
-        return out
 
 
 def simulate_ctmc(tables, eta0, t_max, rng, record_events=True):
@@ -258,24 +223,6 @@ def _event_lists(steps, n_events):
     return [events[end - n:end] for n, end in zip(n_events.tolist(), ends)]
 
 
-def simulate_dual_walker(kind, start, t, params, rng):
-    """Final position of a single dual walker on the integers.
-
-    * ``asip_single``: jumps right at rate ``q^{2k}[2k]`` and left at rate
-      ``q^{-2k}[2k]``; its displacement is exactly the difference of two
-      independent Poisson counts, which is how it is sampled.
-    * ``sip_single``: jumps both ways at rate 2k.
-    """
-    if kind == "asip_single":
-        a, b = walker_rates(params.q, params.k)
-        mu_r, mu_l = a * t, b * t
-    elif kind == "sip_single":
-        mu_r = mu_l = 2.0 * params.k * t
-    else:
-        raise ValueError("unknown walker kind %r" % (kind,))
-    return int(start + rng.poisson(mu_r) - rng.poisson(mu_l))
-
-
 @dataclass
 class EnsembleResult:
     mean: np.ndarray
@@ -295,7 +242,7 @@ def _reduce(values):
     return EnsembleResult(mean=mean, se=se, replicas=replicas)
 
 
-def run_ensemble(job, replicas, master_seed, workers=1):
+def run_ensemble(job, replicas, master_seed):
     """Run ``job(rng, replica) -> scalar or vector`` over independent
     replicas and reduce to mean and standard error.
 
@@ -304,9 +251,9 @@ def run_ensemble(job, replicas, master_seed, workers=1):
     reduction runs over a preallocated array in index order.
 
     Replicas run one after another in the calling thread, each through
-    ``job``; ``workers`` is accepted and not used.  Current moments do
-    not come through here: ``q_moment_ensemble`` advances their replicas
-    in lockstep blocks with ``simulate_batch``.
+    ``job``.  Current moments do not come through here:
+    ``q_moment_ensemble`` advances their replicas in lockstep blocks with
+    ``simulate_batch``.
     """
     if replicas < 1:
         raise ValueError("need replicas >= 1")

@@ -29,7 +29,7 @@ __all__ = [
     "SparseRateMatrix", "asip_edge_rates", "sip_edge_rates", "qtazrp_rate",
     "build_generator", "edge_rate_table", "edge_move_generator",
     "abep_generator_apply", "bep_generator_apply",
-    "theta_edge", "adep_velocity", "adep_relax_pair",
+    "adep_velocity", "adep_relax_pair",
     "asip_marginal_pmf", "asip_marginal_Z", "asip_marginal_Z_closed",
     "asip_marginal_mean", "asip_marginal_mean_closed",
     "detailed_balance_residual", "alpha_max",
@@ -53,9 +53,6 @@ class SparseRateMatrix:
 
     def toarray(self):
         return self.matrix.toarray()
-
-    def row_sum_residual(self):
-        return float(np.abs(self.matrix.sum(axis=1)).max())
 
 
 def asip_edge_rates(eta, i, params):
@@ -218,12 +215,12 @@ def _directional_derivs(f, x, i, h):
     return d1, d2
 
 
-def abep_generator_apply(f, x, i, params, h=None, richardson=True):
+def abep_generator_apply(f, x, i, params, h=None):
     """Apply the edge diffusion generator to f at x by central differences.
 
-    ``h`` defaults to ``1e-4 * max(1, |x|_inf)``; with ``richardson`` the
-    h and h/2 stencils are combined for O(h^4) accuracy.  Points within 2h
-    of the energy boundary are rejected (degenerate stencil).
+    ``h`` defaults to ``1e-4 * max(1, |x|_inf)``; the h and h/2 stencils
+    are combined (Richardson) for O(h^4) accuracy.  Points within 2h of
+    the energy boundary are rejected (degenerate stencil).
     """
     x = np.asarray(x, dtype=float)
     if h is None:
@@ -236,23 +233,13 @@ def abep_generator_apply(f, x, i, params, h=None, richardson=True):
         d1, d2 = _directional_derivs(f, x, i, step)
         return a2 * d2 + a1 * d1
 
-    if not richardson:
-        return value(h)
     return (4.0 * value(h / 2.0) - value(h)) / 3.0
 
 
-def bep_generator_apply(f, x, i, k, h=None, richardson=True):
+def bep_generator_apply(f, x, i, k, h=None):
     """Symmetric-limit counterpart of :func:`abep_generator_apply`."""
     p = ModelParams(q=1.0, k=k, sigma=0.0, L=max(2, len(x)))
-    return abep_generator_apply(f, x, i, p, h=h, richardson=richardson)
-
-
-def theta_edge(x, i, params):
-    """Instantaneous energy flow across edge i: the drift coefficient of the
-    edge generator, so that applying the generator to x_i gives
-    ``theta_edge(x, i) - theta_edge(x, i-1)``."""
-    _, a1 = _abep_edge_coeffs(x, i, params.k, params.sigma)
-    return a1
+    return abep_generator_apply(f, x, i, p, h=h)
 
 
 def adep_velocity(u, v, sigma, kind="adep"):
@@ -298,7 +285,7 @@ def adep_relax_pair(a, b, sigma, t=math.inf, kind="adep"):
     return u, a + b - u
 
 
-def alpha_max(params, i=None):
+def alpha_max(params):
     """Upper end of the admissible alpha interval for the discrete product
     measures: alpha < q^-(2k+1) globally."""
     return params.q ** (-(2.0 * params.k + 1.0))
@@ -312,9 +299,11 @@ def _asip_weight_ratio_limit(i, params, alpha):
     return alpha * q ** (4 * k * i - (2 * k - 1))
 
 
-def asip_marginal_Z(i, params, alpha, tol=1e-14, n_cap=100_000):
+def asip_marginal_Z(i, params, alpha):
     """Normalization of the site-i marginal of the reversible product
-    measures, by series summation with a certified geometric tail bound.
+    measures, by series summation with a certified geometric tail bound:
+    it stops once the tail is below 1e-14 of the sum, and raises
+    RuntimeError past 100000 terms.
 
     When 2k is an integer the closed form
     ``1/ (alpha q^(4ki - 2k + 1); q^2)_{2k}`` is available and is used as a
@@ -334,11 +323,11 @@ def asip_marginal_Z(i, params, alpha, tol=1e-14, n_cap=100_000):
         w_next = w * ratio
         # all later term ratios are bounded by rho, so the tail is geometric
         rho = max(ratio, rho_inf)
-        if rho < 1.0 and w_next / (1.0 - rho) < tol * acc:
+        if rho < 1.0 and w_next / (1.0 - rho) < 1e-14 * acc:
             return acc
         w = w_next
         n += 1
-        if n > n_cap:
+        if n > 100_000:
             raise RuntimeError("marginal normalization did not converge")
 
 
@@ -360,10 +349,11 @@ def asip_marginal_pmf(i, n, params, alpha):
     return w / asip_marginal_Z(i, params, alpha)
 
 
-def asip_marginal_mean(i, params, alpha, tol=1e-13):
+def asip_marginal_mean(i, params, alpha):
     """Mean occupancy of site i; equals the alpha log-derivative of the
-    normalization.  Computed by direct series summation (valid for any k);
-    the tests cross-check the integer-2k closed form
+    normalization.  Computed by direct series summation (valid for any k)
+    until the tail is below 1e-13 of the sum; the tests cross-check the
+    integer-2k closed form
     ``sum_l 1/(q^(-2l) (alpha q^(4ki-2k+1))^(-1) - 1)``."""
     Z = asip_marginal_Z(i, params, alpha)
     rho_inf = _asip_weight_ratio_limit(i, params, alpha)
@@ -378,7 +368,8 @@ def asip_marginal_mean(i, params, alpha, tol=1e-13):
         w = w * ratio
         n += 1
         rho = max(ratio, rho_inf)
-        if rho < 1.0 and (n + 1.0) * w / (1.0 - rho) ** 2 < tol * max(acc, Z):
+        if rho < 1.0 and (n + 1.0) * w / (1.0 - rho) ** 2 \
+                < 1e-13 * max(acc, Z):
             break
         if n > 100_000:
             raise RuntimeError("mean series did not converge")
@@ -395,7 +386,7 @@ def asip_marginal_mean_closed(i, params, alpha):
                for l in range(int(round(2 * k))))
 
 
-def detailed_balance_residual(sector, model, params, weight_fn, scale=1e-300):
+def detailed_balance_residual(sector, model, params, weight_fn):
     """Largest relative detailed-balance violation of ``weight_fn`` (an
     unnormalized stationary candidate) over all transition pairs of the
     model's generator on the sector."""
@@ -406,8 +397,8 @@ def detailed_balance_residual(sector, model, params, weight_fn, scale=1e-300):
     r, c = coo.row[move], coo.col[move]
     flow = mu[r] * coo.data[move]
     back = mu[c] * np.asarray(gen.matrix[c, r]).ravel()
-    return float(np.max(np.abs(flow - back) / np.maximum(scale, np.abs(flow)),
-                        initial=0.0))
+    return float(np.max(np.abs(flow - back)
+                        / np.maximum(1e-300, np.abs(flow)), initial=0.0))
 
 
 def ring_product_measure_gap(L, N, params):

@@ -48,12 +48,11 @@ from . import qcalc
 from .qcalc import q_binomial, q_number
 
 __all__ = [
-    "site_operators", "casimir_matrix", "commutator",
-    "delta_casimir_pair", "hamiltonian_constant", "build_hamiltonian",
-    "coproduct_symmetries", "basis_index", "basis_config",
+    "site_operators", "casimir_matrix", "delta_casimir_pair",
+    "hamiltonian_constant", "build_hamiltonian", "coproduct_symmetries",
     "basis_occupations", "sector_indices", "splus_closed_form",
     "splus_from_qexp", "ground_state_vector", "derive_generator",
-    "derive_duality", "pseudo_factorization_residual",
+    "derive_duality",
 ]
 
 
@@ -87,10 +86,6 @@ def site_operators(k, q, n_max):
         "identity": np.eye(d),
     }
     return ops
-
-
-def commutator(A, B):
-    return A @ B - B @ A
 
 
 def q_number_of_diagonal(D, q):
@@ -225,28 +220,9 @@ def coproduct_symmetries(L, k, q, n_max):
             for name, factors in chains.items()}
 
 
-def basis_index(eta, n_max):
-    """Tensor-basis index of an occupation vector (site 1 most
-    significant)."""
-    idx = 0
-    for v in eta:
-        if not 0 <= v <= n_max:
-            raise ValueError("occupation outside the truncated basis")
-        idx = idx * (n_max + 1) + int(v)
-    return idx
-
-
-def basis_config(idx, L, n_max):
-    out = []
-    for _ in range(L):
-        idx, r = divmod(idx, n_max + 1)
-        out.append(r)
-    return np.array(out[::-1], dtype=int)
-
-
 def basis_occupations(L, n_max):
-    """``(d**L, L)`` array whose row ``idx`` is ``basis_config(idx, L,
-    n_max)``, with d = n_max + 1."""
+    """``(d**L, L)`` array whose row ``idx`` is the occupation vector of
+    tensor-basis index idx (site 1 most significant), with d = n_max + 1."""
     d = n_max + 1
     return np.indices((d,) * L).reshape(L, -1).T
 
@@ -342,13 +318,13 @@ def ground_state_vector(L, k, q, n_max):
     return g
 
 
-def derive_generator(L, k, q, n_max, form="explicit"):
+def derive_generator(L, k, q, n_max):
     """Ground-state conjugation of the Hamiltonian,
     ``G^-1 H G`` with G = diag(ground state); entry (x, y) is the jump
     rate x -> y and rows sum to zero on particle-number sectors that fit
     in the truncation.  Both factors act in place on H, so no second
     matrix of its size is made."""
-    H = build_hamiltonian(L, k, q, n_max, form=form)
+    H = build_hamiltonian(L, k, q, n_max)
     g = ground_state_vector(L, k, q, n_max)
     H *= g[None, :]
     H /= g[:, None]
@@ -386,17 +362,3 @@ def sector_symmetry_residual(H, S, L, n_max, n_total_max):
     scale = max(1.0, float(np.abs(HS).max()))
     keep = basis_occupations(L, n_max).sum(axis=1) <= n_total_max
     return float(np.abs(comm[np.ix_(keep, keep)]).max()) / scale
-
-
-def pseudo_factorization_residual(L, k, q, n_max):
-    """Residual of the site-by-site factorization of the deformed
-    exponential of the global raising operator:
-    ``exp(E^(L)) = exp(E_1) exp(K_1 E_2) ... exp(K_1...K_(L-1) E_L)``."""
-    ops = site_operators(k, q, n_max)
-    lhs = splus_from_qexp(L, k, q, n_max)
-    rhs = np.eye((n_max + 1) ** L)
-    for i in range(1, L + 1):
-        m = _site_chain(ops["K"], ops["E"], ops["identity"], i, L)
-        rhs = rhs @ matrix_q_exp(m, q ** 2)
-    scale = max(1.0, float(np.abs(lhs).max()))
-    return float(np.abs(lhs - rhs).max()) / scale

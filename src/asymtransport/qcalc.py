@@ -5,7 +5,8 @@ Two deformation conventions coexist and must not be mixed up:
 * the symmetric q-number ``[n] = (q^n - q^-n)/(q - q^-1)``, used by every
   transition rate, stationary measure and duality function;
 * the "curly" number ``{n}_r = (1 - r^n)/(1 - r)``, used only by the
-  q-exponential series (with deformation base ``r = q^2``).
+  deformed exponential of ``qalgebra.matrix_q_exp`` (with deformation
+  base ``r = q^2``).
 
 All functions accept ``q = 1`` and return the analytic limit instead of
 evaluating a 0/0 expression.
@@ -17,9 +18,8 @@ import numpy as np
 from scipy import special
 
 __all__ = [
-    "check_q", "q_number", "q_power", "q_factorial", "q_binomial",
-    "q_pochhammer", "curly_q_number", "q_exp",
-    "bessel_i", "log_bessel_i", "skellam_pmf", "symmetric_walk_pmf",
+    "check_q", "q_number", "q_power", "q_binomial", "q_pochhammer",
+    "curly_q_number", "skellam_pmf", "symmetric_walk_pmf",
 ]
 
 
@@ -65,16 +65,6 @@ def q_power(q, exponents):
     return np.array([q ** v for v in e.ravel().tolist()]).reshape(e.shape)
 
 
-def q_factorial(n, q):
-    """Product [1][2]...[n]; the empty product (n = 0) is 1."""
-    if n != int(n) or n < 0:
-        raise ValueError("q_factorial needs an integer n >= 0")
-    out = 1.0
-    for j in range(1, int(n) + 1):
-        out *= q_number(j, q)
-    return out
-
-
 def q_binomial(n, m, q):
     """Generalized q-binomial coefficient with integer lower index.
 
@@ -90,8 +80,8 @@ def q_binomial(n, m, q):
     Notes
     -----
     Evaluated as ``prod_{j=1..m} [n - m + j] / [j]`` rather than as a ratio
-    of q-factorials; the individual factors stay moderate where the
-    factorials would overflow.
+    of q-factorials ``[1][2]...[n]``; the individual factors stay moderate
+    where the factorials would overflow.
     """
     if m != int(m):
         raise ValueError("lower argument of q_binomial must be an integer")
@@ -119,43 +109,6 @@ def curly_q_number(n, r):
     if r == 1.0:
         return float(n)
     return (1.0 - r ** n) / (1.0 - r)
-
-
-def q_exp(x, r, n_max=200, tol=1e-14):
-    """Deformed exponential sum_n x^n / {n}_r!.
-
-    Converges for |x(1-r)| < 1 when r < 1.  Raises ArithmeticError if the
-    terms have not dropped below ``tol`` relative to the partial sum within
-    ``n_max`` terms (the matrix version used elsewhere terminates exactly on
-    nilpotent arguments and never hits this path).
-    """
-    acc = 0.0
-    term = 1.0
-    for n in range(n_max + 1):
-        acc += term
-        if abs(term) <= tol * max(1.0, abs(acc)):
-            return acc
-        term *= x / curly_q_number(n + 1, r)
-    raise ArithmeticError("q_exp series did not converge within n_max=%d" % n_max)
-
-
-def log_bessel_i(n, t):
-    """log I_n(t) for integer order n >= 0, t >= 0; -inf where I underflows."""
-    if t < 0:
-        raise ValueError("t must be >= 0")
-    if t == 0.0:
-        return 0.0 if n == 0 else -np.inf
-    with np.errstate(divide="ignore"):
-        return float(np.log(special.ive(n, t))) + t
-
-
-def bessel_i(n, t):
-    """Modified Bessel function I_n(t), integer order, scaled evaluation."""
-    if t < 0:
-        raise ValueError("t must be >= 0")
-    if t < 700.0:
-        return float(special.ive(n, t) * math.exp(t))
-    return math.exp(log_bessel_i(n, t))
 
 
 def skellam_pmf(m, mu1, mu2):

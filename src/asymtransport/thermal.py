@@ -31,9 +31,9 @@ from . import models
 
 __all__ = [
     "qbetabinom_weights", "qbetabinom_pmf", "sample_qbetabinom",
-    "betabinom_weights", "betabinom_pmf", "tilted_beta_pdf", "tilted_beta_cdf",
-    "tilted_beta_mean", "sample_tilted_beta", "th_asip_generator", "th_sip_generator",
-    "th_abep_step", "akmp_step", "simulate_thermal_continuous",
+    "betabinom_weights", "tilted_beta_pdf", "tilted_beta_cdf",
+    "tilted_beta_mean", "sample_tilted_beta", "th_asip_generator",
+    "th_sip_generator", "simulate_thermal_continuous",
 ]
 
 
@@ -102,13 +102,6 @@ def betabinom_weights(n_tot, k):
     log_binom = -np.log(n + 1) - special.betaln(n - r + 1, r + 1)
     logpmf = log_binom + special.betaln(r + a, n - r + a) - special.betaln(a, a)
     return np.clip(np.exp(logpmf), 0, 1)
-
-
-def betabinom_pmf(r, n_tot, k):
-    """Symmetric-limit split law: Beta-Binomial(n_tot, 2k, 2k)."""
-    if r != int(r) or not 0 <= r <= n_tot:
-        return 0.0
-    return float(betabinom_weights(n_tot, k)[int(r)])
 
 
 _TILT_SMALL = 1e-8
@@ -209,26 +202,6 @@ def _split_law_generator(sector, n_edges, law):
     rates = table[na + nb]
     rates[r == na[:, :, None]] = 0.0
     return models.edge_move_generator(sector, rates, r)
-
-
-def th_abep_step(x, edge, params, rng):
-    """One thermalized continuous edge update: replace (x_i, x_{i+1}) by
-    (wE, (1-w)E) with E the edge total and w from the tilted split law.
-    Energy is conserved exactly; E = 0 leaves x unchanged."""
-    x = np.asarray(x, dtype=float).copy()
-    i = edge - 1
-    E = x[i] + x[i + 1]
-    if E <= 0:
-        return x
-    w = sample_tilted_beta(E, params.sigma, params.k, rng)
-    x[i], x[i + 1] = w * E, (1.0 - w) * E
-    return x
-
-
-def akmp_step(x, edge, sigma, rng):
-    """Asymmetric uniform-split energy redistribution (the k = 1/2 case)."""
-    p = models.ModelParams(q=1.0, k=0.5, sigma=sigma, L=max(2, len(x)))
-    return th_abep_step(x, edge, p, rng)
 
 
 def simulate_thermal_continuous(x0, t_max, params, rng):

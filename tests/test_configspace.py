@@ -58,15 +58,6 @@ def test_continuous_config_validation():
         cs.as_continuous_config([-0.1, 0.2])
 
 
-def test_move_particle():
-    eta = np.array([2, 0, 1])
-    out = cs.move_particle(eta, 1, 2)
-    assert (out == np.array([1, 1, 1])).all()
-    assert (eta == np.array([2, 0, 1])).all()
-    with pytest.raises(ValueError):
-        cs.move_particle(eta, 2, 1)
-
-
 def test_tail_count_convention():
     eta = np.array([2, 0, 3])
     assert cs.tail_count(eta, 1) == 5
@@ -75,10 +66,17 @@ def test_tail_count_convention():
     assert cs.tail_count(eta, 4) == 0
 
 
-def test_partial_energy():
-    x = np.array([0.5, 1.0, 0.25])
-    assert cs.partial_energy(x, 2) == pytest.approx(1.25)
-    assert cs.total_energy(x) == pytest.approx(1.75)
+def _g_inverse(z, sigma):
+    """Reference inverse of g_map: ``x_i = log((1 - 2 sigma Z_(i+1)) /
+    (1 - 2 sigma Z_i)) / (2 sigma)`` with Z_i the tail sums of z."""
+    z = np.asarray(z, dtype=float)
+    if sigma == 0.0:
+        return z.copy()
+    suffix = np.concatenate([np.cumsum(z[::-1])[::-1], [0.0]])
+    top = 1.0 - 2.0 * sigma * suffix[1:]
+    bot = 1.0 - 2.0 * sigma * suffix[:-1]
+    assert (bot > 0.0).all() and (top > 0.0).all()
+    return np.log(top / bot) / (2.0 * sigma)
 
 
 def test_g_map_frozen():
@@ -90,7 +88,7 @@ def test_g_map_frozen():
 def test_g_map_sigma_zero_is_identity():
     x = np.array([0.3, 1.2, 0.7])
     assert np.allclose(cs.g_map(x, 0.0), x)
-    assert np.allclose(cs.g_inverse(x, 0.0), x)
+    assert np.allclose(_g_inverse(x, 0.0), x)
 
 
 @given(st.lists(st.floats(min_value=0.0, max_value=2.0), min_size=2,
@@ -101,7 +99,7 @@ def test_g_map_round_trip(xs, sigma):
     x = np.array(xs)
     z = cs.g_map(x, sigma)
     assert np.all(z >= 0)
-    back = cs.g_inverse(z, sigma)
+    back = _g_inverse(z, sigma)
     assert np.allclose(back, x, atol=1e-9)
 
 
@@ -143,9 +141,7 @@ def test_sector_cap():
 
 def test_config_line_round_trip():
     eta = np.array([1, 0, 2])
-    line = cs.config_to_line(eta)
-    assert line == "1,0,2"
-    assert (cs.config_from_line(line) == eta).all()
-    x = np.array([0.5, 1.25])
-    back = cs.config_from_line(cs.config_to_line(x), kind="continuous")
-    assert np.allclose(back, x)
+    assert (cs.config_from_line(",".join(map(str, eta))) == eta).all()
+    assert (cs.config_from_line(" 1,0,2,\n") == eta).all()
+    with pytest.raises(ValueError):
+        cs.config_from_line("1,-1")

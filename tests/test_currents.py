@@ -34,11 +34,13 @@ def test_rate_function_matches_legendre_transform():
 
 
 def test_symmetric_rate_function():
+    # the symmetric rate-2k walker's closed form
     k = 0.5
     for x in (0.0, 0.7, 2.1):
         ref = 4 * k - math.sqrt(x * x + 16 * k * k) + x * math.log(
             (x + math.sqrt(x * x + 16 * k * k)) / (4 * k))
-        assert cur.rate_function_sym(x, k) == pytest.approx(ref, rel=1e-13)
+        assert cur.rate_function(x, 2 * k, 2 * k) == pytest.approx(ref,
+                                                                   rel=1e-13)
 
 
 def test_leftward_drift_infimum():
@@ -133,15 +135,14 @@ def test_continuous_moment_zero_profile():
 
 
 def test_continuous_growth_rate():
+    # growth of E[e^(-2 sigma J)] under a product law, lam+ = E[e^(2 sigma x)]
     lam_plus = 1.2
     k = 0.5
-    limit = cur.growth_rate_continuous(lam_plus, k)
+    limit = cur.growth_rate(math.log(lam_plus), 2 * k, 2 * k)
     # symmetric walker: sup at x* = 2k(lam+ - 1/lam+) >= 0, value
     # 2k(lam+ + 1/lam+ - 2)
     ref = 2 * k * (lam_plus + 1.0 / lam_plus - 2.0)
     assert limit == pytest.approx(ref, rel=1e-12)
-    with pytest.raises(ValueError):
-        cur.growth_rate_continuous(0.9, k)
 
 
 def test_param_hash_stable_and_distinct():
@@ -183,7 +184,7 @@ def _deadline(seconds):
     lambda: cur.abep_moment_product(1.2, math.inf, 1.0, 0.5),
     lambda: cur.abep_moment_product(1.2, 0.8, math.nan, 0.5),
     lambda: cur.abep_moment_fixed([1.0, 0.5], 0, 1, math.nan, 0.5, 0.5),
-    lambda: cur._walk_tail(3, math.nan, "left", 1e-15),
+    lambda: cur._walk_tail(3, math.nan, "left"),
 ], ids=["product-t-nan", "product-t-inf", "product-mu-nan", "product-mu-inf",
         "fixed-t-nan", "abep-lam-nan", "abep-lam-inf", "abep-t-nan",
         "abep-fixed-t-nan", "walk-tail-nan"])

@@ -1,8 +1,11 @@
 """Duality kernels, closed forms, generator-level identities and the
 continuum scaling limit."""
 
+import math
+
 import numpy as np
 import pytest
+from scipy.special import gammaln
 
 from asymtransport import configspace as cs
 from asymtransport import dualitylab as dl
@@ -29,12 +32,24 @@ def test_kernel_forms_differ_by_sector_constant():
             dl.form_conversion_factor(xi, P) * poch, rel=1e-12)
 
 
+def _d_sip(eta, xi, k):
+    """Symmetric inclusion-process kernel
+    ``prod_i eta_i!/(eta_i - xi_i)! Gamma(2k)/Gamma(2k + xi_i)``."""
+    eta = np.asarray(eta, dtype=int)
+    xi = np.asarray(xi, dtype=int)
+    if (xi > eta).any():
+        return 0.0
+    logs = (gammaln(eta + 1.0) - gammaln(eta - xi + 1.0)
+            + gammaln(2.0 * k) - gammaln(2.0 * k + xi))
+    return float(np.exp(logs.sum()))
+
+
 def test_kernel_reduces_to_sip_kernel_at_q_one():
     p1 = ModelParams(q=1.0, k=0.75, L=3)
     eta = np.array([2, 1, 3])
     xi = np.array([1, 0, 2])
     assert dl.d_asip(eta, xi, p1) == pytest.approx(
-        dl.d_sip(eta, xi, 0.75), rel=1e-12)
+        _d_sip(eta, xi, 0.75), rel=1e-12)
 
 
 def test_single_walker_closed_form():
@@ -96,20 +111,33 @@ def test_scaling_limit_monotone():
     assert errs[1] < 1e-2
 
 
+def _d_akmp(x, xi, sigma):
+    """k = 1/2 kernel, dual to uniform redistribution:
+    ``prod_i g_i(x)^xi_i / xi_i!``."""
+    g = cs.g_map(x, sigma)
+    out = 1.0
+    for gi, m in zip(g, xi):
+        out *= gi ** m / math.factorial(int(m))
+    return float(out)
+
+
 def test_continuous_kernels_at_zero_dual():
     x = np.array([0.5, 1.5])
     p = ModelParams(q=1.0, k=0.5, sigma=0.3, L=2)
     assert dl.d_abep(x, np.array([0, 0]), p) == 1.0
-    assert dl.d_akmp(x, np.array([0, 0]), 0.3) == 1.0
+    assert _d_akmp(x, np.array([0, 0]), 0.3) == 1.0
 
 
 def test_akmp_kernel_is_monomial_in_g():
+    # the k = 1/2 kernel is the monomial g_1^2/2! g_2 of the mapped energies
     x = np.array([0.5, 1.5])
     sigma = 0.3
     xi = np.array([2, 1])
     g = cs.g_map(x, sigma)
     ref = g[0] ** 2 / 2.0 * g[1]
-    assert dl.d_akmp(x, xi, sigma) == pytest.approx(ref, rel=1e-12)
+    assert _d_akmp(x, xi, sigma) == pytest.approx(ref, rel=1e-12)
+    p = ModelParams(q=1.0, k=0.5, sigma=sigma, L=2)
+    assert dl.d_abep(x, xi, p) == pytest.approx(ref, rel=1e-12)
 
 
 def test_thermal_continuous_duality():
@@ -119,11 +147,39 @@ def test_thermal_continuous_duality():
     assert rep.passed, str(rep)
 
 
+def _renormalized_dual_expectation(eta, ells, t, params):
+    """Renormalized dual observable of a finite window configuration.
+
+    Evolves n dual particles started at the (1-based) sites ``ells`` under
+    the dual dynamics for time t (exact matrix exponential on the dual
+    sector) and returns
+
+    ``prod_m q^(-2 N_(ell_m + 1)(eta)) * E[D(eta, xi(t))]``.
+
+    The renormalizing prefactor is what keeps the observable finite when
+    the window grows into a configuration with infinitely many particles.
+    """
+    from scipy.sparse.linalg import expm_multiply
+    eta = np.asarray(eta, dtype=int)
+    L = len(eta)
+    xi0 = dl.dual_occupation(ells, L)
+    sector = cs.enumerate_sector(L, int(xi0.sum()))
+    p = ModelParams(q=params.q, k=params.k, L=L)
+    gen = models.build_generator(sector, "asip", p)
+    d_vec = np.array([dl.d_asip(eta, z, p) for z in sector.configs])
+    evolved = expm_multiply(gen.matrix * t, d_vec)
+    value = float(evolved[sector.rank(xi0[None])[0]])
+    pref = 1.0
+    for l in ells:
+        pref *= params.q ** (-2.0 * tail_count(eta, l + 1))
+    return pref * value
+
+
 def test_renormalized_dual_expectation_initial_value():
     eta = np.array([2, 1, 0])
     ells = (1, 2)
     p = ModelParams(q=0.8, k=0.5, L=3)
-    val = dl.renormalized_dual_expectation(eta, ells, 0.0, p)
+    val = _renormalized_dual_expectation(eta, ells, 0.0, p)
     pref = np.prod([p.q ** (-2.0 * cs.tail_count(eta, m + 1))
                     for m in ells])
     ref = pref * dl.d_asip(eta, dl.dual_occupation(ells, 3), p)
@@ -133,7 +189,7 @@ def test_renormalized_dual_expectation_initial_value():
 def test_renormalized_dual_expectation_finite_t():
     eta = np.array([2, 1, 0])
     p = ModelParams(q=0.8, k=0.5, L=3)
-    val = dl.renormalized_dual_expectation(eta, (1,), 0.7, p)
+    val = _renormalized_dual_expectation(eta, (1,), 0.7, p)
     assert np.isfinite(val)
 
 

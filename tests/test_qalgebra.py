@@ -1,6 +1,7 @@
 """The deformed ladder-operator construction: commutation relations,
 conserved quantities, and the re-derivation of rates and duality kernel."""
 
+from functools import reduce
 import itertools
 import math
 
@@ -16,6 +17,29 @@ from asymtransport.qcalc import q_binomial, q_number
 Q, K, NMAX = 0.7, 0.85, 6
 
 
+def _commutator(A, B):
+    return A @ B - B @ A
+
+
+def _basis_index(eta, n_max):
+    """Tensor-basis index of an occupation vector (site 1 most
+    significant)."""
+    idx = 0
+    for v in eta:
+        assert 0 <= v <= n_max
+        idx = idx * (n_max + 1) + int(v)
+    return idx
+
+
+def _basis_config(idx, L, n_max):
+    """Occupation vector of a tensor-basis index."""
+    out = []
+    for _ in range(L):
+        idx, r = divmod(idx, n_max + 1)
+        out.append(r)
+    return np.array(out[::-1], dtype=int)
+
+
 def _safe(n_max):
     """Indices of basis states whose ladder images stay inside the
     truncation."""
@@ -25,11 +49,11 @@ def _safe(n_max):
 def test_site_commutation_relations():
     ops = qa.site_operators(K, Q, NMAX)
     s = _safe(NMAX)
-    lhs = qa.commutator(ops["Kplus"], ops["Kminus"])
+    lhs = _commutator(ops["Kplus"], ops["Kminus"])
     rhs = -qa.q_number_of_diagonal(2.0 * ops["K0"], Q)
     assert np.abs((lhs - rhs)[s, s]).max() < 1e-12
     for sign, name in ((+1.0, "Kplus"), (-1.0, "Kminus")):
-        comm = qa.commutator(ops["K0"], ops[name])
+        comm = _commutator(ops["K0"], ops[name])
         assert np.abs((comm - sign * ops[name])[s, s]).max() < 1e-12
 
 
@@ -39,7 +63,7 @@ def test_rescaled_generator_relations():
     E, F, Km = ops["E"], ops["F"], ops["K"]
     assert np.abs((Km @ E - Q ** 2 * E @ Km)[s, s]).max() < 1e-12
     assert np.abs((Km @ F - Q ** -2 * F @ Km)[s, s]).max() < 1e-12
-    comm = qa.commutator(E, F)
+    comm = _commutator(E, F)
     rhs = -(Km - ops["Kinv"]) / (Q - 1.0 / Q)
     assert np.abs((comm - rhs)[s, s]).max() < 1e-12
 
@@ -87,8 +111,23 @@ def test_splus_closed_form_equals_q_exponential():
     assert np.abs(S_exp - S_cf).max() < 1e-10
 
 
+def _pseudo_factorization_residual(L, k, q, n_max):
+    """Residual of the site-by-site factorization of the deformed
+    exponential of the global raising operator:
+    ``exp(E^(L)) = exp(E_1) exp(K_1 E_2) ... exp(K_1...K_(L-1) E_L)``."""
+    ops = qa.site_operators(k, q, n_max)
+    lhs = qa.splus_from_qexp(L, k, q, n_max)
+    rhs = np.eye((n_max + 1) ** L)
+    for i in range(1, L + 1):
+        m = reduce(np.kron, [ops["K"]] * (i - 1) + [ops["E"]]
+                   + [ops["identity"]] * (L - i))
+        rhs = rhs @ qa.matrix_q_exp(m, q ** 2)
+    scale = max(1.0, float(np.abs(lhs).max()))
+    return float(np.abs(lhs - rhs).max()) / scale
+
+
 def test_pseudo_factorization():
-    assert qa.pseudo_factorization_residual(3, K, Q, 3) < 1e-10
+    assert _pseudo_factorization_residual(3, K, Q, 3) < 1e-10
 
 
 def test_derive_generator_matches_rates():
@@ -116,13 +155,6 @@ def test_derive_duality_matches_kernel():
             assert np.abs(blk - ref).max() < 1e-10
 
 
-def test_basis_index_round_trip():
-    L, n_max = 3, 4
-    for eta in ((0, 0, 0), (4, 0, 0), (1, 2, 3), (0, 4, 4)):
-        idx = qa.basis_index(np.array(eta), n_max)
-        assert tuple(qa.basis_config(idx, L, n_max)) == eta
-
-
 def test_matrix_q_exp_scalar_case():
     # for a nilpotent 2x2 the series terminates: 1 + X
     X = np.array([[0.0, 0.0], [2.0, 0.0]])
@@ -139,7 +171,7 @@ def _ref_splus_closed_form(L, k, q, n_max):
     d = n_max + 1
     out = np.zeros((d ** L, d ** L))
     for col in range(d ** L):
-        xi = qa.basis_config(col, L, n_max)
+        xi = _basis_config(col, L, n_max)
         ranges = [range(int(x), n_max + 1) for x in xi]
         for eta in itertools.product(*ranges):
             val = 1.0
@@ -151,7 +183,7 @@ def _ref_splus_closed_form(L, k, q, n_max):
                                  * q_binomial(e + 2 * k - 1, l, q))
                 val *= q ** (l * (1 + k + x + 2 * acc))
                 acc += x + k
-            out[qa.basis_index(eta, n_max), col] = val
+            out[_basis_index(eta, n_max), col] = val
     return out
 
 
@@ -159,7 +191,7 @@ def _ref_ground_state_vector(L, k, q, n_max):
     d = n_max + 1
     g = np.zeros(d ** L)
     for idx in range(d ** L):
-        eta = qa.basis_config(idx, L, n_max)
+        eta = _basis_config(idx, L, n_max)
         val = 1.0
         for i0, e in enumerate(eta):
             i = i0 + 1
@@ -175,7 +207,7 @@ def _ref_derive_duality(L, k, q, n_max):
     raw = (S / g[:, None]) / g[None, :]
     D = np.zeros_like(raw)
     for col in range((n_max + 1) ** L):
-        n_xi = int(qa.basis_config(col, L, n_max).sum())
+        n_xi = int(_basis_config(col, L, n_max).sum())
         D[:, col] = raw[:, col] * q ** (-2.0 * (k - 1.0) * n_xi)
     return D
 
@@ -206,11 +238,11 @@ def test_basis_occupations_and_sector_indices():
     L, n_max = 3, 4
     occ = qa.basis_occupations(L, n_max)
     for idx in range((n_max + 1) ** L):
-        assert np.array_equal(occ[idx], qa.basis_config(idx, L, n_max))
+        assert np.array_equal(occ[idx], _basis_config(idx, L, n_max))
     for n in range(n_max + 1):
         sec = cs.enumerate_sector(L, n)
         assert qa.sector_indices(sec, n_max).tolist() == [
-            qa.basis_index(c, n_max) for c in sec.configs]
+            _basis_index(c, n_max) for c in sec.configs]
     with pytest.raises(ValueError):
         qa.sector_indices(cs.enumerate_sector(L, n_max + 1), n_max)
 

@@ -30,12 +30,6 @@ def test_q_number_frozen_values():
     assert qcalc.q_number(5, 1.0) == 5.0
 
 
-def test_q_factorial_frozen():
-    # [4]_q! at q = 1/2: 1 * 2.5 * 5.25 * 10.625
-    assert qcalc.q_factorial(4, 0.5) == pytest.approx(139.453125, abs=1e-10)
-    assert qcalc.q_factorial(0, 0.5) == 1.0
-
-
 def test_q_binomial_frozen():
     # (4 choose 2)_q at q = 1/2: [4][3]/([2][1]) = 10.625*5.25/2.5
     assert qcalc.q_binomial(4, 2, 0.5) == pytest.approx(22.3125, abs=1e-10)
@@ -87,25 +81,13 @@ def test_curly_vs_square_bracket(n, q):
         qcalc.q_number(n, q) * q ** (n - 1), rel=1e-12)
 
 
-def test_q_exp_matches_series():
-    q, x = 0.7, 0.4
-    r = q * q
-    total = sum(x ** n * q ** (-n * (n - 1) / 2.0)
-                / qcalc.q_factorial(n, q) for n in range(30))
-    assert qcalc.q_exp(x, r) == pytest.approx(total, rel=1e-12)
-
-
-def test_q_exp_reduces_to_exp_at_r_one():
-    assert qcalc.q_exp(0.3, 1.0) == pytest.approx(math.exp(0.3), rel=1e-12)
-
-
 @pytest.mark.parametrize("n,t", [(0, 0.5), (3, 2.0), (10, 40.0), (25, 90.0),
                                  (-4, 7.0)])
 def test_bessel_against_mpmath(n, t):
-    ref = float(mpmath.besseli(abs(n), t))
-    assert qcalc.bessel_i(n, t) == pytest.approx(ref, rel=1e-12)
-    assert qcalc.log_bessel_i(n, t) == pytest.approx(math.log(ref),
-                                                     rel=1e-12)
+    # the symmetric walk's displacement law is e^-t I_|n|(t) at rate t/2
+    ref = float(mpmath.exp(-t) * mpmath.besseli(abs(n), t))
+    assert qcalc.symmetric_walk_pmf(n, t / 2.0) == pytest.approx(ref,
+                                                                 rel=1e-12)
 
 
 def test_skellam_against_mpmath():
