@@ -10,6 +10,7 @@ byte-identical outputs for any worker count.
 import argparse
 import configparser
 import math
+import os
 import sys
 from dataclasses import dataclass, fields
 
@@ -385,9 +386,16 @@ _SUITE_FNS = {
 }
 
 
+# The sigma at which each suite's energy checks meet their thresholds.
+# Below it g_map loses ~1e-16 / sigma of its value to cancellation; above
+# it the duality suite's stencil at g(x) meets the energy boundary (sigma
+# > 2.3) and the thermal suite's tilt overflows e^a (sigma > 197).
+_SIGMA_RANGE = {"duality": (0.01, 2.0), "thermal": (1e-6, 100.0)}
+
+
 def _suite_params(suite, spec):
     """The (p, p_bad) pair of one suite, or a usage message when the
-    suite cannot take the spec's q and k."""
+    suite cannot take the spec's q, k and sigma."""
     # the duality suite's ASIP generators are singular at q = 1, and the
     # symmetric ring does have product measures
     top = "< 1" if suite in ("duality", "measures") else "<= 1"
@@ -404,10 +412,11 @@ def _suite_params(suite, spec):
             for q in qs for n in range(5)):
         raise SystemExit("the %s suite needs a --k whose 2k is not lost in "
                          "[2k + n]_q for n <= 4, got %r" % (suite, spec.k))
-    # the thermal suite's split means are taken at energies E = s / sigma
-    if suite == "thermal" and not spec.sigma > 0.0:
-        raise SystemExit("the thermal suite needs a finite --sigma > 0, "
-                         "got %r" % spec.sigma)
+    if suite in _SIGMA_RANGE:
+        lo, hi = _SIGMA_RANGE[suite]
+        if not lo <= spec.sigma <= hi:
+            raise SystemExit("the %s suite needs %g <= --sigma <= %g, got %r"
+                             % (suite, lo, hi, spec.sigma))
     p = ModelParams(q=spec.q, k=spec.k, sigma=spec.sigma)
     if suite == "measures" and not p.two_k_integer:
         raise SystemExit("the measures suite checks closed forms that need "
@@ -599,7 +608,7 @@ def cmd_rate(spec):
         _, lam_inv = currents.marginal_q_factors(mu, spec.q)
         log_factor = math.log(spec.q ** (-4.0 * spec.k) * lam_inv)
     elif spec.model == "sip":
-        a = b = 2.0 * spec.k
+        a, b = currents.walker_rates(1.0, spec.k)
         log_factor = _energy_tilt(spec)
     else:
         raise SystemExit("rate tables exist for models asip and sip")
@@ -689,6 +698,11 @@ def _check_spec(spec):
         raise SystemExit("need a finite positive time horizon --t")
     if spec.command in ("current", "rate") and not 0.0 <= spec.bernoulli <= 1.0:
         raise SystemExit("need 0 <= --bernoulli <= 1")
+    # output is written after the run, so a bad path must fail before it
+    out_dir = os.path.dirname(spec.out)
+    if out_dir and not os.path.isdir(out_dir):
+        raise SystemExit("--out %r names a file in a missing directory"
+                         % spec.out)
 
 
 def _add_common(sub):

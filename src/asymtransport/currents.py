@@ -25,7 +25,7 @@ import math
 
 import numpy as np
 
-from .qcalc import q_number, skellam_pmf, symmetric_walk_pmf
+from .qcalc import q_number, skellam_pmf
 
 __all__ = [
     "rate_function", "rate_function_legendre", "walker_rates",
@@ -269,7 +269,7 @@ def abep_moment_fixed(x_window, window_start, bond, t, k, sigma):
     rate_t = 2.0 * k * t
     lo, hi = window_start, window_start + W
     ns = np.arange(lo, hi + 1)
-    pmf = symmetric_walk_pmf(ns - bond, rate_t)
+    pmf = skellam_pmf(ns - bond, rate_t, rate_t)
     bulk = float(np.sum(pmf * np.exp(-2.0 * sigma
                                      * (np.array([energy_at(n) for n in ns])
                                         - e_bond))))
@@ -293,7 +293,7 @@ def _walk_tail(edge, rate_t, side):
     acc = 0.0
     d = edge
     while True:
-        term = float(symmetric_walk_pmf(d, rate_t))
+        term = float(skellam_pmf(d, rate_t, rate_t))
         acc += term
         if term <= 1e-15 * max(acc, 1e-300) and abs(d) > 2 * rate_t + 10:
             return acc
@@ -310,10 +310,10 @@ def abep_moment_product(lam_plus, lam_minus, t, k):
     if not (math.isfinite(lam_plus) and math.isfinite(lam_minus)):
         raise ValueError("lam_plus and lam_minus must be finite")
     rate_t = 2.0 * k * t
-    acc = float(symmetric_walk_pmf(0, rate_t))
+    acc = float(skellam_pmf(0, rate_t, rate_t))
     l = 1
     while True:
-        term = float(symmetric_walk_pmf(l, rate_t)) \
+        term = float(skellam_pmf(l, rate_t, rate_t)) \
             * (lam_plus ** l + lam_minus ** l)
         acc += term
         if term <= 1e-15 * max(acc, 1e-300) and l > 2 * rate_t + 10:

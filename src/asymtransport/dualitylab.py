@@ -13,17 +13,13 @@ Provided duality functions:
 * ``d_abep``   -- kernel coupling the asymmetric energy diffusion to the
   symmetric inclusion process (all asymmetry sits in the kernel); at
   k = 1/2 it is dual to uniform energy redistribution.
-
-``scipy.integrate`` is imported inside the one function that uses it
-(:func:`thermal_continuous_duality_residual`): it is not on a simulation
-path, and loading it with the package would add to every start.
 """
 
 from dataclasses import dataclass
 import math
 
 import numpy as np
-from scipy.special import gammaln
+from scipy.special import gammaln, roots_jacobi
 
 from . import configspace, models, qcalc, thermal
 from .configspace import ModelParams, tail_count
@@ -290,13 +286,14 @@ def verify_abep_sip_duality(x, xi, params):
 
 def verify_g_map_conjugation(f, x, params):
     """Residual of the conjugation identity: applying the symmetric edge
-    diffusion to f at g(x) equals applying the asymmetric one to f o g
-    at x, for every edge."""
+    diffusion (the asymmetric one at sigma = 0) to f at g(x) equals
+    applying the asymmetric one to f o g at x, for every edge."""
     x = np.asarray(x, dtype=float)
     gx = configspace.g_map(x, params.sigma)
+    symmetric = ModelParams(q=1.0, k=params.k)
     worst = 0.0
     for i in range(1, len(x)):
-        lhs = models.bep_generator_apply(f, gx, i, params.k, h=1e-4)
+        lhs = models.abep_generator_apply(f, gx, i, symmetric, h=1e-4)
         rhs = models.abep_generator_apply(
             lambda y: f(configspace.g_map(y, params.sigma)), x, i, params,
             h=1e-4)
@@ -344,13 +341,13 @@ def thermal_continuous_duality_residual(x, xi, params):
     """Edge-wise duality between the thermalized continuous model and the
     thermalized symmetric inclusion process.
 
-    For each edge the continuous side is the integral of the kernel change
-    under the tilted-split redistribution (adaptive quadrature; the split
-    density has algebraic endpoint singularities when 2k < 1 or the
-    exponent 2k - 1 is not an integer); the discrete side is the
-    Beta-Binomial redistribution of the dual edge, computed exactly.
+    For each edge of energy E the continuous side averages the kernel
+    change over the tilted split law.  In the Beta(2k, 2k) coordinate v of
+    that law (:mod:`thermal`) the kernel is a polynomial of degree n_tot =
+    xi_(i-1) + xi_i, so the Gauss-Jacobi rule with n_tot // 2 + 1 nodes
+    averages it exactly.  The discrete side is the q = 1 split law
+    (Beta-Binomial) of the dual edge, also exact.
     """
-    from scipy import integrate
     x = np.asarray(x, dtype=float)
     xi = np.asarray(xi, dtype=int)
     sigma, k = params.sigma, params.k
@@ -358,18 +355,18 @@ def thermal_continuous_duality_residual(x, xi, params):
     base = d_abep(x, xi, params)
     for i in range(1, len(x)):
         E = x[i - 1] + x[i]
+        n_tot = int(xi[i - 1] + xi[i])
         lhs = 0.0
         if E > 0:
-            def integrand(w, i=i):
+            nodes, weights = roots_jacobi(n_tot // 2 + 1, 2 * k - 1, 2 * k - 1)
+            fractions = thermal._fraction_of_beta(0.5 * (1.0 + nodes),
+                                                  thermal._tilt(E, sigma))
+            for w, weight in zip(fractions, weights / weights.sum()):
                 y = x.copy()
                 y[i - 1], y[i] = w * E, (1.0 - w) * E
-                return thermal.tilted_beta_pdf(w, E, sigma, k) \
-                    * (d_abep(y, xi, params) - base)
-            lhs, _ = integrate.quad(integrand, 0.0, 1.0,
-                                    epsabs=1e-13, epsrel=1e-12, limit=200)
-        n_tot = int(xi[i - 1] + xi[i])
+                lhs += weight * (d_abep(y, xi, params) - base)
         rhs = 0.0
-        pmf = thermal.betabinom_weights(n_tot, k)
+        pmf = thermal.qbetabinom_weights(n_tot, 1.0, k)
         for r in range(n_tot + 1):
             z = xi.copy()
             z[i - 1], z[i] = r, n_tot - r

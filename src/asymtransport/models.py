@@ -5,15 +5,16 @@ the discrete ones.
 Discrete models on a chain of L sites:
 
 * ``asip``   -- q-deformed inclusion process with drift to the left;
-* ``sip``    -- its symmetric q = 1 limit;
+* ``sip``    -- its symmetric limit, the same rates at q = 1;
 * ``qtazrp`` -- totally asymmetric zero-range process reached from the
   inclusion process under the time rescaling ``(1-q^2) q^(4k-1)`` as
   k grows;
-* ``th_asip`` / ``th_sip`` -- instantaneous-thermalization versions whose
-  edge updates jump straight to the edge-conditioned stationary split.
+* ``th_asip`` -- the instantaneous-thermalization version, whose edge
+  updates jump straight to the edge-conditioned stationary split (its
+  symmetric limit is the same generator at q = 1).
 
 Continuous models (diffusion generators, applied by finite differences):
-the asymmetric energy diffusion (sigma > 0) and its symmetric limit.
+the asymmetric energy diffusion, whose symmetric limit is sigma = 0.
 """
 
 import math
@@ -28,7 +29,7 @@ from .qcalc import q_number, q_binomial, q_pochhammer
 __all__ = [
     "SparseRateMatrix", "asip_edge_rates", "sip_edge_rates", "qtazrp_rate",
     "build_generator", "edge_rate_table", "edge_move_generator",
-    "abep_generator_apply", "bep_generator_apply",
+    "abep_generator_apply",
     "adep_velocity", "adep_relax_pair",
     "asip_marginal_pmf", "asip_marginal_Z", "asip_marginal_Z_closed",
     "asip_marginal_mean", "asip_marginal_mean_closed",
@@ -111,11 +112,6 @@ def _asip_rate_tables(q, k, n):
     return right, left
 
 
-def _sip_rate_tables(q, k, n):
-    m = np.array(n, dtype=float)
-    return m[:, None] * (2 * k + m), (2 * k + m)[:, None] * m
-
-
 def _qtazrp_rate_tables(q, k, n):
     # a particle leaves the right site of the edge at a rate set by its
     # occupancy nb alone
@@ -125,7 +121,7 @@ def _qtazrp_rate_tables(q, k, n):
 
 _RATE_TABLE_FNS = {
     "asip": _asip_rate_tables,
-    "sip": _sip_rate_tables,
+    "sip": lambda q, k, n: _asip_rate_tables(1.0, k, n),
     "qtazrp": _qtazrp_rate_tables,
 }
 
@@ -168,19 +164,17 @@ def build_generator(sector, model, params):
     """Generator matrix of the named model restricted to a sector.
 
     ``model`` is one of asip, sip, qtazrp (single-particle moves) or
-    th_asip, th_sip (rate-1 edge redistribution rows built from the exact
-    conditional split laws).
+    th_asip (rate-1 edge redistribution rows built from the exact
+    conditional split law).
 
     The single-particle-move rates come from :func:`edge_rate_table`,
     looked up at every state's edge occupancies at once; a jump to the
     right leaves na - 1 particles on the left site, a jump to the left
     na + 1 (:func:`edge_move_generator`).
     """
-    if model in ("th_asip", "th_sip"):
+    if model == "th_asip":
         from . import thermal
-        if model == "th_asip":
-            return thermal.th_asip_generator(sector, params)
-        return thermal.th_sip_generator(sector, params.k, boundary=params.boundary)
+        return thermal.th_asip_generator(sector, params)
     if model not in _RATE_TABLE_FNS:
         raise ValueError("unknown model %r" % (model,))
     if sector.L != params.L:
@@ -236,24 +230,18 @@ def abep_generator_apply(f, x, i, params, h=None):
     return (4.0 * value(h / 2.0) - value(h)) / 3.0
 
 
-def bep_generator_apply(f, x, i, k, h=None):
-    """Symmetric-limit counterpart of :func:`abep_generator_apply`."""
-    p = ModelParams(q=1.0, k=k, sigma=0.0, L=max(2, len(x)))
-    return abep_generator_apply(f, x, i, p, h=h)
-
-
 def adep_velocity(u, v, sigma, kind="adep"):
     """du/dt of the two-site deterministic energy flow (dv/dt = -du/dt):
-    "adep" (asymmetric), "dep" (symmetric limit) or "tadep" (totally
-    asymmetric, all energy drains to the left site)."""
-    if kind == "dep" or (kind == "adep" and sigma == 0.0):
-        return -(u - v)
-    if kind == "adep":
-        return -(2.0 - np.exp(-2.0 * sigma * u)
-                 - np.exp(2.0 * sigma * v)) / (2.0 * sigma)
+    "adep" (asymmetric; its symmetric limit is sigma = 0) or "tadep"
+    (totally asymmetric, all energy drains to the left site)."""
     if kind == "tadep":
         return -(1.0 - np.exp(2.0 * sigma * v)) / (2.0 * sigma)
-    raise ValueError("unknown kind %r" % (kind,))
+    if kind != "adep":
+        raise ValueError("unknown kind %r" % (kind,))
+    if sigma == 0.0:
+        return -(u - v)
+    return -(2.0 - np.exp(-2.0 * sigma * u)
+             - np.exp(2.0 * sigma * v)) / (2.0 * sigma)
 
 
 def adep_relax_pair(a, b, sigma, t=math.inf, kind="adep"):
@@ -263,25 +251,25 @@ def adep_relax_pair(a, b, sigma, t=math.inf, kind="adep"):
     With S = a + b each flow is linear in one variable, so it has a closed
     form: y = e^(2 sigma u) solves ``y' = (1 + e^(2 sigma S)) - 2y``
     (adep), z = e^(-2 sigma v) solves ``z' = 1 - z`` (tadep), and u solves
-    ``u' = S - 2u`` (dep, and adep at sigma = 0).
+    ``u' = S - 2u`` (adep at sigma = 0).
     """
     if a < 0 or b < 0:
         raise ValueError("energies must be >= 0")
     if not sigma >= 0.0 or (kind == "tadep" and sigma == 0.0):
-        raise ValueError("need sigma > 0 (sigma >= 0 for adep and dep)")
+        raise ValueError("need sigma > 0 (sigma >= 0 for adep)")
     t = np.asarray(t, dtype=float)
     if kind == "tadep":
         v = -np.log1p(np.expm1(-2.0 * sigma * b) * np.exp(-t)) / (2.0 * sigma)
         return a + b - v, v
+    if kind != "adep":
+        raise ValueError("unknown kind %r" % (kind,))
     decay = -np.expm1(-2.0 * t)                     # 1 - e^(-2t)
-    if kind == "dep" or (kind == "adep" and sigma == 0.0):
+    if sigma == 0.0:
         u = a + 0.5 * (b - a) * decay
-    elif kind == "adep":
+    else:
         # y(t)/y(0) - 1 = (y(inf)/y(0) - 1)(1 - e^(-2t))
         gain = 0.5 * (np.expm1(-2.0 * sigma * a) + np.expm1(2.0 * sigma * b))
         u = a + np.log1p(gain * decay) / (2.0 * sigma)
-    else:
-        raise ValueError("unknown kind %r" % (kind,))
     return u, a + b - u
 
 

@@ -19,7 +19,7 @@ from scipy import special
 
 __all__ = [
     "check_q", "q_number", "q_power", "q_binomial", "q_pochhammer",
-    "curly_q_number", "skellam_pmf", "symmetric_walk_pmf",
+    "curly_q_number", "skellam_pmf",
 ]
 
 
@@ -145,11 +145,3 @@ def skellam_pmf(m, mu1, mu2):
                      + logi)
     return float(out[0]) if scalar else out
 
-
-def symmetric_walk_pmf(d, rate_t):
-    """Time-t displacement law of a walk jumping +-1 at equal rates.
-
-    ``P(d) = e^{-2 rate_t} I_{|d|}(2 rate_t)`` where ``rate_t`` is the
-    one-sided rate times t.  Accepts scalar or array ``d``.
-    """
-    return skellam_pmf(d, rate_t, rate_t)

@@ -4,8 +4,8 @@ A thermalized edge update does not move one particle (or an infinitesimal
 amount of energy); it resamples the whole edge content from the stationary
 law conditioned on the edge total:
 
-* discrete, asymmetric: a q-deformed Beta-Binomial split;
-* discrete, symmetric: a Beta-Binomial(n_tot, 2k, 2k) split;
+* discrete: a q-deformed Beta-Binomial split, which at q = 1 is the
+  symmetric Beta-Binomial(n_tot, 2k, 2k) split;
 * continuous, asymmetric: an exponentially tilted Beta split of the edge
   energy, exact in closed form: with a = 2 sigma E the kept fraction w has
   v = (e^(a w) - 1) / (e^a - 1) ~ Beta(2k, 2k); at k = 1/2 and vanishing
@@ -13,11 +13,9 @@ law conditioned on the edge total:
 
 Each edge carries an exponential rate-1 clock.
 
-The symmetric Beta-Binomial law is evaluated in closed form
-(:func:`betabinom_weights`), so importing this module does not load
-``scipy.stats``; ``scipy.integrate`` is imported inside
-:func:`tilted_beta_mean`, the only function here that integrates.  Both
-cost about 0.6 s at start-up and neither is on a simulation path.
+``scipy.integrate`` is imported inside :func:`tilted_beta_mean`, the only
+function here that integrates: it costs start-up time and is not on a
+simulation path.
 """
 
 import math
@@ -26,14 +24,13 @@ import sys
 import numpy as np
 from scipy import special
 
-from .qcalc import q_binomial
+from .qcalc import q_number
 from . import models
 
 __all__ = [
     "qbetabinom_weights", "qbetabinom_pmf", "sample_qbetabinom",
-    "betabinom_weights", "tilted_beta_pdf", "tilted_beta_cdf",
-    "tilted_beta_mean", "sample_tilted_beta", "th_asip_generator",
-    "th_sip_generator", "simulate_thermal_continuous",
+    "tilted_beta_pdf", "tilted_beta_cdf", "tilted_beta_mean",
+    "sample_tilted_beta", "th_asip_generator", "simulate_thermal_continuous",
 ]
 
 
@@ -41,24 +38,24 @@ def qbetabinom_weights(n_tot, q, k):
     """Normalized pmf vector (length n_tot + 1) of the q-deformed
     Beta-Binomial split of an edge carrying n_tot particles.
 
-    ``pmf(r) propto q^(-4kr) binom_q(r + 2k - 1, r)
-    binom_q(2k + n_tot - r - 1, n_tot - r)``; this equals the two-site
-    product-measure law conditioned on the sum, for any pair of adjacent
-    sites (the site-dependent factors cancel).
+    ``pmf(r) propto q^(-4kr) c_r c_(n_tot - r)`` with the running product
+    ``c_m = binom_q(2k + m - 1, m) = c_(m-1) [2k + m - 1] / [m]``; this is
+    the two-site product-measure law conditioned on the sum, for any pair
+    of adjacent sites (the site-dependent factors cancel), and at q = 1
+    the symmetric Beta-Binomial(n_tot, 2k, 2k) law.
 
     Raises ValueError where the weights leave the float range.
     """
-    r = np.arange(n_tot + 1)
     msg = ("the q-Beta-Binomial weights of n_tot = %d at q = %r, k = %r "
            "overflow a float" % (n_tot, q, k))
     with np.errstate(over="ignore", invalid="ignore"):
         try:
-            w = np.array([
-                q ** (-4.0 * k * rr)
-                * q_binomial(rr + 2 * k - 1, rr, q)
-                * q_binomial(2 * k + (n_tot - rr) - 1, n_tot - rr, q)
-                for rr in r
-            ])
+            c = [1.0]
+            for m in range(1, n_tot + 1):
+                c.append(c[-1] * (q_number(2 * k + (m - 1), q)
+                                  / q_number(m, q)))
+            w = np.array([q ** (-4.0 * k * r) * c[r] * c[n_tot - r]
+                          for r in range(n_tot + 1)])
         except OverflowError:   # a Python float power past the range
             raise ValueError(msg) from None
         w = w / w.sum()
@@ -87,23 +84,6 @@ def sample_qbetabinom(n_tot, q, k, rng, size=None, weights=None):
         else np.searchsorted(cdf, u)
 
 
-def betabinom_weights(n_tot, k):
-    """Masses of r = 0..n_tot under the symmetric-limit split law
-    Beta-Binomial(n_tot, 2k, 2k).
-
-    ``log pmf(r) = -log(n + 1) - B(n - r + 1, r + 1) + B(r + a, n - r + a)
-    - B(a, a)`` with B = log Beta and a = 2k, evaluated in the order
-    ``scipy.stats.betabinom`` uses and clipped to [0, 1] as it is, so the
-    values equal scipy's bit for bit.
-    """
-    n = n_tot
-    r = np.arange(n + 1)
-    a = 2 * k
-    log_binom = -np.log(n + 1) - special.betaln(n - r + 1, r + 1)
-    logpmf = log_binom + special.betaln(r + a, n - r + a) - special.betaln(a, a)
-    return np.clip(np.exp(logpmf), 0, 1)
-
-
 _TILT_SMALL = 1e-8
 # largest tilt a = 2 sigma E for which e^a is a finite float
 MAX_TILT = math.log(sys.float_info.max)
@@ -126,6 +106,12 @@ def _beta_coordinate(w, a):
     return (np.expm1(a * w) / math.expm1(a),
             np.expm1(-a * (1.0 - w)) / math.expm1(-a),
             a * np.exp(-a * (1.0 - w)) / -math.expm1(-a))
+
+
+def _fraction_of_beta(v, a):
+    """The kept fraction w = ln(1 + v (e^a - 1)) / a whose Beta coordinate
+    is v (scalar or array), at tilt a."""
+    return v if a < _TILT_SMALL else np.log1p(v * math.expm1(a)) / a
 
 
 def tilted_beta_pdf(w, E, sigma, k):
@@ -168,7 +154,7 @@ def sample_tilted_beta(E, sigma, k, rng, size=None):
     a = _tilt(E, sigma)
     u = rng.random(size)
     v = u if abs(k - 0.5) < 1e-14 else special.betaincinv(2 * k, 2 * k, u)
-    w = v if a < _TILT_SMALL else np.log1p(v * math.expm1(a)) / a
+    w = _fraction_of_beta(v, a)
     if size is None:
         return float(w) if w <= 1.0 else 1.0
     return np.minimum(w, 1.0)
@@ -176,28 +162,15 @@ def sample_tilted_beta(E, sigma, k, rng, size=None):
 
 def th_asip_generator(sector, params):
     """Thermalized discrete generator: each edge redistributes its particle
-    total by the q-deformed Beta-Binomial law at rate 1."""
-    return _split_law_generator(
-        sector, params.n_edges,
-        lambda n_tot: qbetabinom_weights(n_tot, params.q, params.k))
-
-
-def th_sip_generator(sector, k, boundary="closed"):
-    """Symmetric thermalized generator: Beta-Binomial(n_tot, 2k, 2k) rows;
-    at k = 1/2 every row is a discrete uniform split."""
-    n_edges = sector.L if boundary == "periodic" else sector.L - 1
-    return _split_law_generator(
-        sector, n_edges, lambda n_tot: betabinom_weights(n_tot, k))
-
-
-def _split_law_generator(sector, n_edges, law):
-    # an edge holding (na, nb) moves to (r, na + nb - r), r != na, at rate
-    # law(na + nb)[r]; row t of the table is law(t), zero past r = t
+    total by the q-deformed Beta-Binomial law at rate 1 (symmetric at q =
+    1).  An edge holding (na, nb) moves to (r, na + nb - r), r != na, at
+    rate ``table[na + nb, r]``, the split law of na + nb particles."""
     r = np.arange(sector.N + 1)
     table = np.zeros((len(r), len(r)))
     for n_tot in range(len(r)):
-        table[n_tot, :n_tot + 1] = law(n_tot)
-    a = np.arange(n_edges)
+        table[n_tot, :n_tot + 1] = qbetabinom_weights(n_tot, params.q,
+                                                      params.k)
+    a = np.arange(params.n_edges)
     na, nb = sector.configs[:, a], sector.configs[:, (a + 1) % sector.L]
     rates = table[na + nb]
     rates[r == na[:, :, None]] = 0.0

@@ -15,7 +15,7 @@ from scipy import integrate, stats
 from asymtransport import (cli, configspace as cs, currents, dualitylab as dl,
                            engine, models, qalgebra as qa, thermal)
 from asymtransport.configspace import ModelParams
-from asymtransport.qcalc import symmetric_walk_pmf
+from asymtransport.qcalc import skellam_pmf
 
 
 def _report(label, ok):
@@ -154,7 +154,7 @@ def test_criterion_06_current_moments_vs_mc():
     # energy moment: product form against the direct walker sum
     k, sigma, c, tc = 0.5, 1.0, 0.7, 1.3
     ds = np.arange(-200, 201)
-    direct = float(np.sum(symmetric_walk_pmf(ds, 2 * k * tc)
+    direct = float(np.sum(skellam_pmf(ds, 2 * k * tc, 2 * k * tc)
                           * np.exp(2 * sigma * c * ds)))
     prod = currents.abep_moment_product(math.exp(2 * sigma * c),
                                         math.exp(-2 * sigma * c), tc, k)

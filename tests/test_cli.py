@@ -4,6 +4,7 @@ fault injection and input validation."""
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -343,6 +344,9 @@ def test_current_bad_monte_carlo_input_rejected(tmp_path, formula, bad):
     ["simulate", "--L", "3", "--n", "-2", "--t", "1"],
     ["verify", "--suite", "thermal", "--sigma", "0"],
     ["verify", "--suite", "all", "--sigma", "0"],
+    ["verify", "--suite", "duality", "--sigma", "0"],
+    ["verify", "--suite", "duality", "--sigma", "1e-300"],
+    ["verify", "--suite", "thermal", "--sigma", "1e300"],
 ])
 def test_bad_sampler_and_simulate_input_rejected(tmp_path, argv):
     out = tmp_path / "out.csv"
@@ -370,6 +374,38 @@ def test_oversized_rate_tables_rejected_before_build(tmp_path, monkeypatch,
         main(argv + ["--seed", "1", "--out", str(out)])
     assert isinstance(exc.value.code, str)
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--suite", "limits"],
+    ["simulate", "--model", "asip", "--t", "1", "--replicas", "2"],
+    ["current", "--formula", "energy-product"],
+    ["rate", "--model", "asip", "--points", "3"],
+    ["thermalize", "--sampler", "kmp", "--samples", "10"],
+], ids=lambda argv: argv[0])
+def test_out_in_missing_directory_rejected_before_the_run(tmp_path,
+                                                          monkeypatch, argv):
+    # output is written after the run, so the path is checked first
+    def run(spec):
+        raise AssertionError("command ran")
+
+    monkeypatch.setitem(cli._COMMANDS, argv[0], run)
+    out = tmp_path / "missing" / "out.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--seed", "1", "--out", str(out)])
+    assert isinstance(exc.value.code, str)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_thermalize_qbetabinom_on_a_large_edge_is_fast(tmp_path):
+    # the split law is one running product over the occupancies: O(n)
+    # q-numbers, not O(n^2)
+    out = tmp_path / "th.csv"
+    t0 = time.monotonic()
+    assert main(["thermalize", "--sampler", "qbetabinom", "--n", "2000",
+                 "--q", "0.99", "--seed", "1", "--out", str(out)]) == 0
+    assert time.monotonic() - t0 < 2.0
+    assert len(_read(out).decode().splitlines()) == 2002
 
 
 @pytest.mark.parametrize("k", ["0.5", "0.75"])

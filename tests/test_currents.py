@@ -9,7 +9,7 @@ import pytest
 
 from asymtransport import currents as cur
 from asymtransport.configspace import ModelParams
-from asymtransport.qcalc import symmetric_walk_pmf
+from asymtransport.qcalc import skellam_pmf
 
 P = ModelParams(q=0.8, k=0.5)
 
@@ -111,7 +111,7 @@ def test_continuous_point_mass_consistency():
     # homogeneous profile: the product form equals the direct walker sum
     k, sigma, c, t = 0.5, 1.0, 0.7, 1.3
     ds = np.arange(-200, 201)
-    direct = float(np.sum(symmetric_walk_pmf(ds, 2 * k * t)
+    direct = float(np.sum(skellam_pmf(ds, 2 * k * t, 2 * k * t)
                           * np.exp(2 * sigma * c * ds)))
     prod = cur.abep_moment_product(math.exp(2 * sigma * c),
                                    math.exp(-2 * sigma * c), t, k)
@@ -121,7 +121,7 @@ def test_continuous_point_mass_consistency():
 def test_continuous_fixed_window_homogeneous():
     k, sigma, c, t = 0.5, 1.0, 0.7, 1.3
     ds = np.arange(-200, 201)
-    direct = float(np.sum(symmetric_walk_pmf(ds, 2 * k * t)
+    direct = float(np.sum(skellam_pmf(ds, 2 * k * t, 2 * k * t)
                           * np.exp(2 * sigma * c * ds)))
     fixed = cur.abep_moment_fixed(np.full(400, c), -200, 0, t, k, sigma)
     assert abs(fixed - direct) < 1e-9

@@ -147,6 +147,18 @@ def test_thermal_continuous_duality():
     assert rep.passed, str(rep)
 
 
+def test_thermal_continuous_duality_is_exact_over_k_and_sigma():
+    # the Gauss-Jacobi rule averages the kernel exactly, so the residual
+    # is round-off also at the small k where the split density is
+    # sharply peaked at the edge ends
+    x, xi = np.array([0.7, 1.1, 0.4]), np.array([1, 0, 2])
+    for k in (1e-6, 1e-4, 0.01, 0.5, 1.0, 2.0, 3.0):
+        for sigma in (1e-3, 0.5, 1.0, 5.0):
+            p = ModelParams(q=1.0, k=k, sigma=sigma, L=3)
+            rep = dl.thermal_continuous_duality_residual(x, xi, p)
+            assert rep.residual < 1e-12, (k, sigma, rep.residual)
+
+
 def _renormalized_dual_expectation(eta, ells, t, params):
     """Renormalized dual observable of a finite window configuration.
 

@@ -53,7 +53,7 @@ def test_qtazrp_limit_gap_monotone():
 
 def test_generator_rows_sum_to_zero():
     sec = cs.enumerate_sector(3, 3)
-    for model in ("asip", "sip", "qtazrp", "th_asip", "th_sip"):
+    for model in ("asip", "sip", "qtazrp", "th_asip"):
         p = ModelParams(q=0.8, k=0.5, L=3)
         gen = models.build_generator(sec, model, p)
         assert np.abs(gen.matrix.sum(axis=1)).max() < 1e-12
@@ -203,10 +203,12 @@ def test_abep_coefficients_symmetric_limit():
         return float(y[0])
 
     lhs = models.abep_generator_apply(f, x, 1, p0)
-    ref = models.bep_generator_apply(f, x, 1, k)
-    assert lhs == pytest.approx(ref, rel=1e-9)
+    # the sigma > 0 coefficients tend to the sigma = 0 ones
+    near = models.abep_generator_apply(
+        f, x, 1, ModelParams(q=1.0, k=k, sigma=1e-7, L=2))
+    assert near == pytest.approx(lhs, rel=1e-6)
     # drift of x_1 is a1 = -2k(u - v) for sigma = 0
-    assert ref == pytest.approx(-2.0 * k * (x[0] - x[1]), rel=1e-7)
+    assert lhs == pytest.approx(-2.0 * k * (x[0] - x[1]), rel=1e-7)
 
 
 def test_abep_second_moment_coefficient():
@@ -254,7 +256,8 @@ def test_adep_fixed_point_closed_form():
 
 
 def test_dep_fixed_point_is_equal_split():
-    u, v = models.adep_relax_pair(1.5, 0.5, 0.7, kind="dep")
+    # the symmetric flow is the adep kind at sigma = 0
+    u, v = models.adep_relax_pair(1.5, 0.5, 0.0)
     assert u == pytest.approx(1.0, abs=1e-9)
     assert v == pytest.approx(1.0, abs=1e-9)
 
@@ -278,6 +281,8 @@ def _rk45_pair(a, b, sigma, t, kind):
 @pytest.mark.parametrize("a,b,sigma", [(1.0, 1.0, 1.0), (0.3, 2.0, 0.5),
                                        (2.5, 0.1, 1.7), (0.0, 1.2, 0.8)])
 def test_closed_form_flow_matches_rk45(kind, a, b, sigma):
+    if kind == "dep":   # the symmetric flow: adep at sigma = 0
+        kind, sigma = "adep", 0.0
     ts = np.array([0.0, 0.25, 1.0, 3.0])
     u, v = models.adep_relax_pair(a, b, sigma, ts, kind)
     assert u[0] == pytest.approx(a, abs=1e-15)
@@ -289,9 +294,13 @@ def test_closed_form_flow_matches_rk45(kind, a, b, sigma):
 
 
 def test_adep_flow_at_sigma_zero_is_dep():
+    # u' = S - 2u: the equal split is approached at rate 2
     u0, v0 = models.adep_relax_pair(1.5, 0.5, 0.0, 0.7)
-    u1, v1 = models.adep_relax_pair(1.5, 0.5, 0.7, 0.7, kind="dep")
-    assert (u0, v0) == (u1, v1)
+    u1 = 1.5 + 0.5 * (0.5 - 1.5) * -math.expm1(-1.4)
+    assert (u0, v0) == (u1, 2.0 - u1)
+    # and the sigma > 0 flow tends to it
+    u2, _ = models.adep_relax_pair(1.5, 0.5, 1e-7, 0.7)
+    assert u2 == pytest.approx(u1, rel=1e-6)
 
 
 def test_flow_rejects_bad_input():

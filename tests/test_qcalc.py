@@ -86,8 +86,8 @@ def test_curly_vs_square_bracket(n, q):
 def test_bessel_against_mpmath(n, t):
     # the symmetric walk's displacement law is e^-t I_|n|(t) at rate t/2
     ref = float(mpmath.exp(-t) * mpmath.besseli(abs(n), t))
-    assert qcalc.symmetric_walk_pmf(n, t / 2.0) == pytest.approx(ref,
-                                                                 rel=1e-12)
+    assert qcalc.skellam_pmf(n, t / 2.0, t / 2.0) == pytest.approx(
+        ref, rel=1e-12)
 
 
 def test_skellam_against_mpmath():
@@ -125,6 +125,6 @@ def test_skellam_normalizes():
 
 def test_symmetric_walk_pmf_normalizes_and_is_symmetric():
     ds = np.arange(-100, 101)
-    pmf = qcalc.symmetric_walk_pmf(ds, 4.0)
+    pmf = qcalc.skellam_pmf(ds, 4.0, 4.0)
     assert pmf.sum() == pytest.approx(1.0, abs=1e-12)
     assert pmf[ds == 3] == pytest.approx(pmf[ds == -3], rel=1e-14)

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import integrate, special, stats
@@ -9,6 +10,7 @@ from scipy import integrate, special, stats
 from asymtransport import configspace as cs
 from asymtransport import engine, models, thermal
 from asymtransport.configspace import ModelParams
+from asymtransport.qcalc import q_binomial
 
 
 def test_qbetabinom_normalizes():
@@ -45,23 +47,49 @@ def test_qbetabinom_rejects_weights_past_the_float_range(n_tot, q):
 def test_qbetabinom_reduces_to_betabinom_at_q_one():
     for r in range(6):
         assert thermal.qbetabinom_pmf(r, 5, 1.0, 0.75) == pytest.approx(
-            thermal.betabinom_weights(5, 0.75)[r], rel=1e-12)
+            stats.betabinom.pmf(r, 5, 1.5, 1.5), rel=1e-12)
 
 
 def test_betabinom_matches_scipy():
+    # at k = 1/2 the q = 1 split law is the discrete uniform one
     for r in range(7):
-        assert thermal.betabinom_weights(6, 0.5)[r] == pytest.approx(
+        assert thermal.qbetabinom_weights(6, 1.0, 0.5)[r] == pytest.approx(
             stats.betabinom.pmf(r, 6, 1.0, 1.0), rel=1e-12)
 
 
-def test_betabinom_closed_form_matches_scipy_bit_for_bit():
-    for k in (0.025, 0.1, 0.2, 0.25, 0.3, 0.5, 0.75, 1.0, 1.5, 3.7, 12.5):
+@pytest.mark.parametrize("k", [1e-6, 1e-4, 0.3, 0.5, 2.0])
+def test_q_one_split_law_against_mpmath_betabinom(k):
+    # Beta-Binomial(n, 2k, 2k) masses binom(n, r) B(r + 2k, n - r + 2k)
+    # / B(2k, 2k) in 30 digits
+    with mpmath.workdps(30):
+        a = mpmath.mpf(2 * k)
         for n_tot in range(61):
-            r = np.arange(n_tot + 1)
-            ref = stats.betabinom.pmf(r, n_tot, 2 * k, 2 * k)
-            new = thermal.betabinom_weights(n_tot, k)
-            assert new.dtype == ref.dtype
-            assert new.tobytes() == ref.tobytes(), (n_tot, k)
+            got = thermal.qbetabinom_weights(n_tot, 1.0, k)
+            for r in range(n_tot + 1):
+                ref = mpmath.binomial(n_tot, r) \
+                    * mpmath.beta(r + a, n_tot - r + a) / mpmath.beta(a, a)
+                assert abs(got[r] / ref - 1) <= 1e-14, (n_tot, r)
+
+
+def _ref_qbetabinom_weights(n_tot, q, k):
+    """The split law as two fresh q-binomial products per r, as it was
+    evaluated before the running product."""
+    r = np.arange(n_tot + 1)
+    w = np.array([q ** (-4.0 * k * rr) * q_binomial(rr + 2 * k - 1, rr, q)
+                  * q_binomial(2 * k + (n_tot - rr) - 1, n_tot - rr, q)
+                  for rr in r])
+    return w / w.sum()
+
+
+def test_running_product_bit_equal_to_per_r_products_where_2k_is_exact():
+    # [2k + m - 1] gets the same argument both ways when 2k is a short
+    # binary fraction, so every factor and product is the same float
+    for k in (0.25, 0.5, 0.75, 1.0, 1.5, 2.0):
+        for q in (0.3, 0.55, 0.7, 0.8, 0.97, 1.0):
+            for n_tot in (0, 1, 2, 5, 9, 20):
+                got = thermal.qbetabinom_weights(n_tot, q, k)
+                ref = _ref_qbetabinom_weights(n_tot, q, k)
+                assert got.tobytes() == ref.tobytes(), (k, q, n_tot)
 
 
 def test_sample_qbetabinom_frequencies():
@@ -147,10 +175,12 @@ def test_th_asip_stationarity():
 
 
 def test_th_sip_stationarity():
-    # homogeneous negative-binomial product conditioned to the sector
+    # the symmetric thermalized generator is th_asip at q = 1; its
+    # stationary law is the homogeneous negative-binomial product
+    # conditioned to the sector
     L, N, k = 3, 3, 0.75
     sec = cs.enumerate_sector(L, N)
-    gen = thermal.th_sip_generator(sec, k)
+    gen = thermal.th_asip_generator(sec, ModelParams(q=1.0, k=k, L=L))
     mu = np.array([math.exp(sum(
         special.gammaln(2 * k + n) - special.gammaln(n + 1)
         for n in c)) for c in sec.configs])
@@ -184,8 +214,9 @@ def _ref_thermal_generator(sector, n_edges, boundary, law):
     return models.SparseRateMatrix(len(sector), rows, cols, rates)
 
 
+# the symmetric generator is th_asip at q = 1: the (1.0, 0.75) case
 @pytest.mark.parametrize("boundary", ["closed", "periodic"])
-@pytest.mark.parametrize("model", ["th_asip", "th_sip"])
+@pytest.mark.parametrize("model", ["th_asip"])
 def test_thermal_generator_matches_per_state_loop_bit_for_bit(model,
                                                               boundary):
     for L in range(2, 6):
@@ -194,12 +225,9 @@ def test_thermal_generator_matches_per_state_loop_bit_for_bit(model,
             for q, k in ((0.8, 0.5), (0.55, 1.5), (0.97, 0.3), (1.0, 0.75),
                          (0.3, 2.3)):
                 p = ModelParams(q=q, k=k, L=L, boundary=boundary)
-                if model == "th_asip":
-                    def law(n_tot):
-                        return thermal.qbetabinom_weights(n_tot, q, k)
-                else:
-                    def law(n_tot):
-                        return thermal.betabinom_weights(n_tot, k)
+
+                def law(n_tot):
+                    return thermal.qbetabinom_weights(n_tot, q, k)
                 new = models.build_generator(sec, model, p).matrix
                 ref = _ref_thermal_generator(sec, p.n_edges, boundary,
                                              law).matrix
