@@ -16,9 +16,9 @@ from asymtransport.configspace import ModelParams
 q, k, n_tot = 0.7, 0.5, 5
 p = ModelParams(q=q, k=k)
 alpha = 0.3 * models.alpha_max(p)
-pm = np.array([models.asip_marginal_pmf(1, r, p, alpha)
-               * models.asip_marginal_pmf(2, n_tot - r, p, alpha)
-               for r in range(n_tot + 1)])
+# the two-site product measure (sites 1 and 2) on the rows (r, n_tot - r)
+r = np.arange(n_tot + 1)
+pm = models.asip_product_measure(np.column_stack([r, n_tot - r]), p, alpha)
 pm /= pm.sum()
 print("discrete split law, edge total %d:" % n_tot)
 print("  r   conditioned product   split pmf")

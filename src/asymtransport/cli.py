@@ -248,13 +248,6 @@ def _suite_algebra(p, p_bad):
     return out
 
 
-def _product_weight(eta, p, alpha):
-    """Unnormalized weight of eta under the reversible product measure."""
-    return math.exp(sum(
-        math.log(models.asip_marginal_pmf(i + 1, int(n), p, alpha))
-        for i, n in enumerate(eta)))
-
-
 def _suite_measures(p, p_bad):
     out = []
     L, N = 3, 3
@@ -264,15 +257,16 @@ def _suite_measures(p, p_bad):
         name="detailed-balance", params=dict(L=L, N=N, q=p.q, k=p.k),
         residual=models.detailed_balance_residual(
             sector, "asip", p3(p, L),
-            lambda eta: _product_weight(eta, p_bad, alpha)),
+            models.asip_product_measure(sector.configs, p_bad, alpha)),
         threshold=1e-12))
     worst_z = 0.0
     worst_m = 0.0
-    for i in (0, 1, 2):
-        z_series = models.asip_marginal_Z(i, p, alpha)
+    for i in (1, 2, 3):
+        w = models.asip_marginal_weights(i, p, alpha, 0)
+        z_series = w.sum()
         z_closed = models.asip_marginal_Z_closed(i, p_bad, alpha)
         worst_z = max(worst_z, abs(z_series - z_closed) / abs(z_series))
-        m_series = models.asip_marginal_mean(i, p, alpha)
+        m_series = np.arange(len(w)) @ w / z_series
         m_closed = models.asip_marginal_mean_closed(i, p_bad, alpha)
         worst_m = max(worst_m, abs(m_series - m_closed)
                       / max(1.0, abs(m_series)))
@@ -292,11 +286,11 @@ def _suite_measures(p, p_bad):
 
 def _suite_thermal(p, p_bad):
     out = []
-    n_tot, i, alpha_frac = 5, 1, 0.3
-    alpha = alpha_frac * models.alpha_max(p)
-    pm = np.array([models.asip_marginal_pmf(i, r, p, alpha)
-                   * models.asip_marginal_pmf(i + 1, n_tot - r, p, alpha)
-                   for r in range(n_tot + 1)])
+    n_tot = 5
+    alpha = 0.3 * models.alpha_max(p)
+    r = np.arange(n_tot + 1)
+    pm = models.asip_product_measure(np.column_stack([r, n_tot - r]), p,
+                                     alpha)
     pm /= pm.sum()
     ref = thermal.qbetabinom_weights(n_tot, p_bad.q, p_bad.k)
     out.append(CheckReport(
@@ -307,7 +301,7 @@ def _suite_thermal(p, p_bad):
     L, N = 3, 3
     sector = configspace.enumerate_sector(L, N)
     gen = thermal.th_asip_generator(sector, p3(p, L))
-    mu = np.array([_product_weight(c, p_bad, alpha) for c in sector.configs])
+    mu = models.asip_product_measure(sector.configs, p_bad, alpha)
     mu /= mu.sum()
     out.append(CheckReport(
         name="thermal-stationarity", params=dict(L=L, N=N, q=p.q, k=p.k),

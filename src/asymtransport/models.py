@@ -24,15 +24,15 @@ from scipy import sparse
 
 from . import configspace, qcalc
 from .configspace import ModelParams
-from .qcalc import q_number, q_binomial, q_pochhammer
+from .qcalc import q_number, q_pochhammer
 
 __all__ = [
     "SparseRateMatrix", "asip_edge_rates", "sip_edge_rates", "qtazrp_rate",
     "build_generator", "edge_rate_table", "edge_move_generator",
     "abep_generator_apply",
     "adep_velocity", "adep_relax_pair",
-    "asip_marginal_pmf", "asip_marginal_Z", "asip_marginal_Z_closed",
-    "asip_marginal_mean", "asip_marginal_mean_closed",
+    "asip_marginal_weights", "asip_product_measure",
+    "asip_marginal_Z_closed", "asip_marginal_mean_closed",
     "detailed_balance_residual", "alpha_max",
     "ring_product_measure_gap", "qtazrp_limit_gap",
 ]
@@ -279,108 +279,88 @@ def alpha_max(params):
     return params.q ** (-(2.0 * params.k + 1.0))
 
 
-def _asip_weight_ratio_limit(i, params, alpha):
-    # limiting ratio w(n+1)/w(n) as n grows; the series converges iff < 1
-    q, k = params.q, params.k
-    if q == 1.0:
-        return alpha
-    return alpha * q ** (4 * k * i - (2 * k - 1))
+def _check_site(i):
+    if i < 1:
+        raise ValueError("sites are numbered from 1, got %r" % (i,))
 
 
-def asip_marginal_Z(i, params, alpha):
-    """Normalization of the site-i marginal of the reversible product
-    measures, by series summation with a certified geometric tail bound:
-    it stops once the tail is below 1e-14 of the sum, and raises
-    RuntimeError past 100000 terms.
+def asip_marginal_weights(i, params, alpha, n_max):
+    """Unnormalized weights ``alpha^n binom_q(n + 2k - 1, n) q^(4kin)``,
+    n = 0, 1, ..., of the site-i marginal of the reversible product
+    measure labeled alpha, as the running product ``w(0) = 1``,
+    ``w(n + 1) = w(n) alpha q^(4ki) [n + 2k] / [n + 1]``.
 
-    When 2k is an integer the closed form
-    ``1/ (alpha q^(4ki - 2k + 1); q^2)_{2k}`` is available and is used as a
-    cross-check in the tests, not here.
+    The array covers 0..n_max and goes on until geometric tail bounds put
+    the rest of the mass below 1e-14 of the sum and the rest of the first
+    moment below 1e-13 of it: the normalization is ``w.sum()`` and the
+    mean ``arange(len(w)) @ w / w.sum()``.  Raises ValueError when the
+    series diverges and RuntimeError past 100000 terms.
     """
-    rho_inf = _asip_weight_ratio_limit(i, params, alpha)
+    _check_site(i)
+    q, k = params.q, params.k
+    # limiting ratio w(n+1)/w(n) as n grows; the series converges iff < 1
+    rho_inf = alpha if q == 1.0 else alpha * q ** (4 * k * i - (2 * k - 1))
     if rho_inf >= 1.0:
         raise ValueError("series diverges: alpha out of the admissible range")
-    acc = 0.0
-    w = 1.0
-    n = 0
-    while True:
-        acc += w
-        q, k = params.q, params.k
-        ratio = alpha * q ** (4 * k * i) \
-            * q_number(n + 2 * k, q) / q_number(n + 1, q)
-        w_next = w * ratio
-        # all later term ratios are bounded by rho, so the tail is geometric
+    scale = alpha * q ** (4 * k * i)
+    w = [1.0]
+    mass = moment = 0.0
+    for n in range(100_000):
+        mass += w[n]
+        moment += n * w[n]
+        ratio = scale * q_number(n + 2 * k, q) / q_number(n + 1, q)
+        w.append(w[n] * ratio)
+        # the ratios move monotonically to rho_inf, so no later one
+        # exceeds rho and both tails from w[n + 1] on are geometric
         rho = max(ratio, rho_inf)
-        if rho < 1.0 and w_next / (1.0 - rho) < 1e-14 * acc:
-            return acc
-        w = w_next
-        n += 1
-        if n > 100_000:
-            raise RuntimeError("marginal normalization did not converge")
+        tail = w[n + 1] / (1.0 - rho) if rho < 1.0 else math.inf
+        if n >= n_max and tail < 1e-14 * mass \
+                and (n + 2.0) * tail / (1.0 - rho) < 1e-13 * max(moment, mass):
+            return np.array(w[:n + 1])
+    raise RuntimeError("marginal weight series did not converge")
+
+
+def asip_product_measure(configs, params, alpha):
+    """Probability of each row of ``configs`` (site 1 first) under the
+    reversible product measure labeled alpha."""
+    configs = np.asarray(configs)
+    mu = np.ones(len(configs))
+    for i, col in enumerate(configs.T, start=1):
+        w = asip_marginal_weights(i, params, alpha, int(col.max(initial=0)))
+        mu *= (w / w.sum())[col]
+    return mu
+
+
+def _closed_form_args(i, params, alpha):
+    # q, 2k and the base alpha q^(4ki - 2k + 1) of the integer-2k forms
+    _check_site(i)
+    if not params.two_k_integer:
+        raise ValueError("closed form needs 2k integer")
+    q, k = params.q, params.k
+    return q, int(round(2 * k)), alpha * q ** (4 * k * i - (2 * k - 1))
 
 
 def asip_marginal_Z_closed(i, params, alpha):
-    """Closed form of the marginal normalization; requires 2k integer."""
-    if not params.two_k_integer:
-        raise ValueError("closed form needs 2k integer")
-    q, k = params.q, params.k
-    m = int(round(2 * k))
-    return 1.0 / q_pochhammer(alpha * q ** (4 * k * i - (2 * k - 1)), q ** 2, m)
-
-
-def asip_marginal_pmf(i, n, params, alpha):
-    """P(eta_i = n) under the reversible product measure labeled alpha."""
-    if n < 0:
-        return 0.0
-    q, k = params.q, params.k
-    w = alpha ** n * q_binomial(n + 2 * k - 1, n, q) * q ** (4 * k * i * n)
-    return w / asip_marginal_Z(i, params, alpha)
-
-
-def asip_marginal_mean(i, params, alpha):
-    """Mean occupancy of site i; equals the alpha log-derivative of the
-    normalization.  Computed by direct series summation (valid for any k)
-    until the tail is below 1e-13 of the sum; the tests cross-check the
-    integer-2k closed form
-    ``sum_l 1/(q^(-2l) (alpha q^(4ki-2k+1))^(-1) - 1)``."""
-    Z = asip_marginal_Z(i, params, alpha)
-    rho_inf = _asip_weight_ratio_limit(i, params, alpha)
-    acc = 0.0
-    w = 1.0
-    n = 0
-    while True:
-        acc += n * w
-        q, k = params.q, params.k
-        ratio = alpha * q ** (4 * k * i) \
-            * q_number(n + 2 * k, q) / q_number(n + 1, q)
-        w = w * ratio
-        n += 1
-        rho = max(ratio, rho_inf)
-        if rho < 1.0 and (n + 1.0) * w / (1.0 - rho) ** 2 \
-                < 1e-13 * max(acc, Z):
-            break
-        if n > 100_000:
-            raise RuntimeError("mean series did not converge")
-    return acc / Z
+    """Integer-2k closed form ``1 / (alpha q^(4ki - 2k + 1); q^2)_{2k}`` of
+    the normalization of site i."""
+    q, m, base = _closed_form_args(i, params, alpha)
+    return 1.0 / q_pochhammer(base, q ** 2, m)
 
 
 def asip_marginal_mean_closed(i, params, alpha):
-    """Integer-2k closed form for the mean occupancy of site i."""
-    if not params.two_k_integer:
-        raise ValueError("closed form needs 2k integer")
-    q, k = params.q, params.k
-    base = alpha * q ** (4 * k * i - 2 * k + 1)
-    return sum(1.0 / (q ** (-2 * l) / base - 1.0)
-               for l in range(int(round(2 * k))))
+    """Integer-2k closed form ``sum_l 1 / (q^(-2l) / base - 1)`` of the
+    mean occupancy of site i, base = alpha q^(4ki - 2k + 1)."""
+    q, m, base = _closed_form_args(i, params, alpha)
+    return sum(1.0 / (q ** (-2 * l) / base - 1.0) for l in range(m))
 
 
-def detailed_balance_residual(sector, model, params, weight_fn):
-    """Largest relative detailed-balance violation of ``weight_fn`` (an
-    unnormalized stationary candidate) over all transition pairs of the
-    model's generator on the sector."""
+def detailed_balance_residual(sector, model, params, weights):
+    """Largest relative detailed-balance violation of ``weights`` (an
+    unnormalized stationary candidate, one entry per sector state) over
+    all transition pairs of the model's generator on the sector."""
     gen = build_generator(sector, model, params)
     coo = gen.matrix.tocoo()
-    mu = np.array([weight_fn(c) for c in sector.configs])
+    mu = np.asarray(weights, dtype=float)
     move = (coo.row != coo.col) & (coo.data > 0)
     r, c = coo.row[move], coo.col[move]
     flow = mu[r] * coo.data[move]

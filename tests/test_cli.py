@@ -65,6 +65,26 @@ def test_verify_measures_pass_near_q_one(tmp_path, q, k):
     assert "ring-has-no-product-measure" in text and "FAIL" not in text
 
 
+@pytest.mark.parametrize("q", ["0.1", "0.5", "0.7", "0.75", "0.95"])
+@pytest.mark.parametrize("k", ["0.5", "1", "2"])
+def test_verify_measures_pass_across_q_and_k(tmp_path, q, k):
+    # the measures live on sites 1..L; a series at site 0 diverged at
+    # alpha = 0.3 alpha_max for most of these points
+    out = tmp_path / "rep.txt"
+    code = main(["verify", "--suite", "measures", "--q", q, "--k", k,
+                 "--out", str(out)])
+    assert code == 0
+    assert _read(out).decode().splitlines()[-1].startswith("result: pass")
+
+
+def test_verify_all_passes_at_q_07_k_1(tmp_path):
+    out = tmp_path / "rep.txt"
+    code = main(["verify", "--suite", "all", "--q", "0.7", "--k", "1.0",
+                 "--sigma", "1.3", "--out", str(out)])
+    assert code == 0
+    assert _read(out).decode().splitlines()[-1].startswith("result: pass")
+
+
 def test_verify_fault_injection_fails(tmp_path):
     out = tmp_path / "rep.txt"
     code = main(["verify", "--suite", "duality", "--q", "0.8", "--k", "0.5",

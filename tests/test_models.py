@@ -10,8 +10,9 @@ from scipy import linalg
 from scipy.integrate import solve_ivp
 
 from asymtransport import configspace as cs
-from asymtransport import models
+from asymtransport import models, thermal
 from asymtransport.configspace import ModelParams
+from asymtransport.qcalc import q_binomial
 
 
 def test_asip_rates_frozen():
@@ -111,13 +112,26 @@ def test_detailed_balance():
     p = ModelParams(q=0.8, k=0.5, L=3)
     alpha = 0.4 * models.alpha_max(p)
     sec = cs.enumerate_sector(3, 3)
+    mu = models.asip_product_measure(sec.configs, p, alpha)
+    assert models.detailed_balance_residual(sec, "asip", p, mu) < 1e-12
 
-    def weight(eta):
-        return math.exp(sum(
-            math.log(models.asip_marginal_pmf(i + 1, int(n), p, alpha))
-            for i, n in enumerate(eta)))
 
-    assert models.detailed_balance_residual(sec, "asip", p, weight) < 1e-12
+@given(st.floats(min_value=0.3, max_value=1.0),
+       st.floats(min_value=0.25, max_value=2.0),
+       st.integers(min_value=2, max_value=4),
+       st.integers(min_value=0, max_value=4),
+       st.floats(min_value=0.05, max_value=0.9))
+@settings(max_examples=60, deadline=2000)
+def test_product_measure_is_reversible_and_thermally_stationary(
+        q, k, L, N, frac):
+    p = ModelParams(q=q, k=k, L=L)
+    alpha = frac * models.alpha_max(p)
+    sec = cs.enumerate_sector(L, N)
+    mu = models.asip_product_measure(sec.configs, p, alpha)
+    assert models.detailed_balance_residual(sec, "asip", p, mu) < 1e-12
+    mu /= mu.sum()
+    gen = thermal.th_asip_generator(sec, p)
+    assert np.abs(mu @ gen.matrix.toarray()).max() < 1e-12
 
 
 def test_alpha_max_frozen():
@@ -127,12 +141,56 @@ def test_alpha_max_frozen():
 
 
 def test_marginal_pmf_normalizes():
+    # the first 400 weights over the certified sum of the shortest series
     p = ModelParams(q=0.8, k=0.5)
     alpha = 0.3 * models.alpha_max(p)
     for i in (1, 2, 3):
-        total = sum(models.asip_marginal_pmf(i, n, p, alpha)
-                    for n in range(400))
+        z = models.asip_marginal_weights(i, p, alpha, 0).sum()
+        total = models.asip_marginal_weights(i, p, alpha, 399)[:400].sum() / z
         assert total == pytest.approx(1.0, abs=1e-10)
+
+
+# Reference: the written-out marginal weight that the pmf used before the
+# running product.  Below q of about 0.3 it underflows itself.
+
+def _ref_asip_marginal_weights(i, n, params, alpha):
+    q, k = params.q, params.k
+    return alpha ** n * q_binomial(n + 2 * k - 1, n, q) * q ** (4 * k * i * n)
+
+
+@pytest.mark.parametrize("qs,n_max", [
+    ((0.3, 0.55, 0.8, 0.95, 0.999, 1.0), 12),
+    ((0.55, 0.7, 0.8, 0.9, 0.95, 0.99, 0.999, 1.0), 30)])
+def test_marginal_weights_match_written_out_weights(qs, n_max):
+    worst = 0.0
+    for q in qs:
+        for k in (0.3, 0.5, 0.75, 1.0, 1.5, 2.0):
+            p = ModelParams(q=q, k=k)
+            for i in (1, 2, 3, 4):
+                for frac in (0.1, 0.5, 0.9):
+                    alpha = frac * models.alpha_max(p)
+                    w = models.asip_marginal_weights(i, p, alpha, n_max)
+                    ref = np.array([_ref_asip_marginal_weights(i, n, p, alpha)
+                                    for n in range(n_max + 1)])
+                    worst = max(worst, np.abs(w[:n_max + 1] / ref - 1).max())
+    assert worst <= 1e-13
+
+
+def test_marginal_series_rejects_sites_below_one():
+    p = ModelParams(q=0.8, k=1.0)
+    for fn in (lambda i: models.asip_marginal_weights(i, p, 0.1, 0),
+               lambda i: models.asip_marginal_Z_closed(i, p, 0.1),
+               lambda i: models.asip_marginal_mean_closed(i, p, 0.1)):
+        fn(1)
+        for i in (0, -1):
+            with pytest.raises(ValueError, match="numbered from 1"):
+                fn(i)
+
+
+def test_marginal_series_rejects_divergent_alpha():
+    p = ModelParams(q=0.8, k=1.0)
+    with pytest.raises(ValueError, match="diverges"):
+        models.asip_marginal_weights(1, p, models.alpha_max(p), 0)
 
 
 @pytest.mark.parametrize("q,k", [(0.8, 0.5), (0.7, 1.0), (0.9, 1.5)])
@@ -140,7 +198,7 @@ def test_partition_function_closed_form(q, k):
     p = ModelParams(q=q, k=k)
     alpha = 0.35 * models.alpha_max(p)
     for i in (1, 2, 3):
-        z = models.asip_marginal_Z(i, p, alpha)
+        z = models.asip_marginal_weights(i, p, alpha, 0).sum()
         zc = models.asip_marginal_Z_closed(i, p, alpha)
         assert abs(z - zc) / abs(z) < 1e-10
 
@@ -148,7 +206,7 @@ def test_partition_function_closed_form(q, k):
 def test_partition_function_closed_form_needs_integer_2k():
     p = ModelParams(q=0.8, k=0.7)
     with pytest.raises(ValueError):
-        models.asip_marginal_Z_closed(0, p, 0.1)
+        models.asip_marginal_Z_closed(1, p, 0.1)
 
 
 @pytest.mark.parametrize("q,k", [(0.8, 0.5), (0.7, 1.0)])
@@ -156,7 +214,8 @@ def test_mean_occupation_closed_form(q, k):
     p = ModelParams(q=q, k=k)
     alpha = 0.35 * models.alpha_max(p)
     for i in (1, 2, 3):
-        m = models.asip_marginal_mean(i, p, alpha)
+        w = models.asip_marginal_weights(i, p, alpha, 0)
+        m = np.arange(len(w)) @ w / w.sum()
         mc = models.asip_marginal_mean_closed(i, p, alpha)
         assert abs(m - mc) / max(1.0, abs(m)) < 1e-10
 
@@ -377,11 +436,10 @@ def test_generator_matches_per_entry_loop_bit_for_bit(model, boundary):
 # Reference: the per-entry loop that measured detailed balance before the
 # vectorized pass; both must return the same float bit for bit.
 
-def _ref_detailed_balance_residual(sector, model, params, weight_fn,
+def _ref_detailed_balance_residual(sector, model, params, mu,
                                    scale=1e-300):
     gen = models.build_generator(sector, model, params)
     coo = gen.matrix.tocoo()
-    mu = np.array([weight_fn(np.asarray(c)) for c in sector.configs])
     worst = 0.0
     for r, c, v in zip(coo.row, coo.col, coo.data):
         if r == c or v <= 0:
@@ -399,23 +457,19 @@ def test_detailed_balance_matches_per_entry_loop_bit_for_bit(model, q):
     for L in (3, 4, 5):
         p = ModelParams(q=q, k=k, L=L)
         alpha = 0.3 * models.alpha_max(p)
-
-        def reversible(eta):
-            return math.exp(sum(
-                math.log(models.asip_marginal_pmf(i + 1, int(n), p, alpha))
-                for i, n in enumerate(eta)))
-
-        def skewed(eta):
-            return 1.0 + float(np.dot(eta, np.arange(1, L + 1))) ** 1.5
-
         for N in range(0, 5):
             sec = cs.enumerate_sector(L, N)
-            for weight in (reversible, skewed):
-                new = models.detailed_balance_residual(sec, model, p, weight)
-                ref = _ref_detailed_balance_residual(sec, model, p, weight)
+            weights = {
+                "reversible": models.asip_product_measure(sec.configs, p,
+                                                          alpha),
+                "skewed": 1.0 + (sec.configs @ np.arange(1, L + 1)) ** 1.5,
+            }
+            for name, mu in weights.items():
+                new = models.detailed_balance_residual(sec, model, p, mu)
+                ref = _ref_detailed_balance_residual(sec, model, p, mu)
                 assert type(new) is float
                 assert np.float64(new).tobytes() == \
-                    np.float64(ref).tobytes(), (L, N, weight.__name__)
+                    np.float64(ref).tobytes(), (L, N, name)
 
 
 def test_generator_rejects_unknown_model_and_length_mismatch():

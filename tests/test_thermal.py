@@ -23,12 +23,12 @@ def test_qbetabinom_normalizes():
 def test_qbetabinom_equals_conditioned_product():
     # the split law of an edge is the two-site reversible product measure
     # conditioned on the edge total; independent of alpha
-    q, k, n_tot, i = 0.7, 0.5, 5, 1
+    q, k, n_tot = 0.7, 0.5, 5
     p = ModelParams(q=q, k=k)
     alpha = 0.3 * models.alpha_max(p)
-    pm = np.array([models.asip_marginal_pmf(i, r, p, alpha)
-                   * models.asip_marginal_pmf(i + 1, n_tot - r, p, alpha)
-                   for r in range(n_tot + 1)])
+    r = np.arange(n_tot + 1)
+    pm = models.asip_product_measure(np.column_stack([r, n_tot - r]), p,
+                                     alpha)
     pm /= pm.sum()
     ref = np.array([thermal.qbetabinom_pmf(r, n_tot, q, k)
                     for r in range(n_tot + 1)])
@@ -167,9 +167,7 @@ def test_th_asip_stationarity():
     alpha = 0.3 * models.alpha_max(p)
     sec = cs.enumerate_sector(L, N)
     gen = thermal.th_asip_generator(sec, p)
-    mu = np.array([math.exp(sum(
-        math.log(models.asip_marginal_pmf(j + 1, int(n), p, alpha))
-        for j, n in enumerate(c))) for c in sec.configs])
+    mu = models.asip_product_measure(sec.configs, p, alpha)
     mu /= mu.sum()
     assert np.abs(mu @ gen.matrix.toarray()).max() < 1e-12
 
