@@ -5,14 +5,12 @@ Exp(total rate) time, pick a transition with probability proportional to its
 rate.  Edge rates are updated incrementally (a jump at edge i only changes
 the rates of edges i-1, i, i+1), so each event costs O(1) rate evaluations.
 
-The event loop is ``simulate_batch``.  It advances a block of replicas
-in lockstep as arrays, one NumPy call per step for the whole block, so
-the Python overhead of an event is shared by every live replica.  Once
-no more than ``SCALAR`` replicas are live, it runs each of them to the
-end in a scalar loop over Python lists (``_finish``), which costs a
-tenth of a lockstep step per event.  ``simulate_ctmc`` runs one replica
-through it and returns its event log, and ``q_moment_ensemble`` runs the
-current-moment Monte Carlo through it.
+There is one event loop, ``simulate_batch``.  It advances a block of
+replicas in lockstep as arrays, one NumPy call per step for the whole
+block, so the Python overhead of an event is shared by every live
+replica.  ``simulate_ctmc`` runs one replica through it and returns its
+event log, and ``q_moment_ensemble`` runs the current-moment Monte Carlo
+through it.
 
 Each replica follows the one-replica array formulation (``rates.sum()``,
 ``np.searchsorted(np.cumsum(rates), u)``): its total rate is summed in
@@ -25,9 +23,8 @@ always runs in replica order, so results are byte-identical however the
 replicas are split into blocks.
 """
 
-from bisect import bisect_left
 from dataclasses import dataclass, field
-from itertools import accumulate, compress
+from itertools import compress
 import math
 
 import numpy as np
@@ -38,7 +35,6 @@ __all__ = [
 ]
 
 BATCH = 2048  # replicas that q_moment_ensemble advances in lockstep
-SCALAR = 4  # live replicas that simulate_batch finishes one by one
 
 
 class SeedTree:
@@ -110,10 +106,8 @@ def simulate_batch(tables, eta0s, t_max, rngs, record_events=False):
       gather the same for every edge; ghost rates are never summed.
 
     A replica whose total rate is 0 or whose clock passes ``t_max`` is
-    compacted out of the live arrays.  When ``SCALAR`` or fewer replicas
-    are live, ``_finish`` runs each on alone, with the same draws, sums
-    and picks.  Replicas are independent, so an ensemble split into
-    blocks of any size gives the same bits.
+    compacted out of the live arrays.  Replicas are independent, so an
+    ensemble split into blocks of any size gives the same bits.
 
     Parameters
     ----------
@@ -177,20 +171,6 @@ def simulate_batch(tables, eta0s, t_max, rngs, record_events=False):
         unif_draws = list(compress(unif_draws, kept))
 
     while True:
-        if len(live) <= SCALAR:
-            tail = [_finish(tables, row, clock, t_max, draw_exp, draw_unif)
-                    for row, clock, draw_exp, draw_unif in zip(
-                        eta[:, 1:-1].tolist(), t.tolist(), exp_draws,
-                        unif_draws)]
-            for r, (final, times, picks) in zip(live.tolist(), tail):
-                finals[r] = final
-                n_events[r] = step + len(picks)
-                if record_events and picks:
-                    steps.append((np.full(len(picks), r), np.array(times),
-                                  np.array(picks)))
-            if not record_events:
-                return finals, n_events
-            return finals, n_events, _event_lists(steps, n_events)
         total = np.add.reduce(rates[:, 2:-2], axis=1)
         stop = total <= 0.0
         if stop.any():
@@ -201,7 +181,9 @@ def simulate_batch(tables, eta0s, t_max, rngs, record_events=False):
             retire(stop)
         n = len(live)
         if not n:
-            continue  # the check at the top returns
+            if not record_events:
+                return finals, n_events
+            return finals, n_events, _event_lists(steps, n_events)
         u = np.array([f() for f in unif_draws]) * total
         np.cumsum(rates[:, 2:-3], axis=1, out=cums[:n, :-1])
         j = (cums[:n] < u[:, None]).argmin(axis=1)
@@ -224,103 +206,6 @@ def simulate_batch(tables, eta0s, t_max, rngs, record_events=False):
         at = np.arange(0, n * width, width) + (j - left)
         rates.reshape(-1).put(at[:, None] + refresh, pair.take(codes, axis=0))
         step += 1
-
-
-def _sum(x):
-    """Sum of the list of floats ``x``, rounded as NumPy's float64
-    ``np.add.reduce`` rounds it: in order below 8 items, in 8 strided
-    accumulators combined as ``((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))``
-    plus the remainder in order up to 128, split at
-    ``n//2 - (n//2)%8`` above."""
-    n = len(x)
-    if n < 8:
-        s = 0.0
-        for v in x:
-            s += v
-        return s
-    if n > 128:
-        mid = n // 2 - (n // 2) % 8
-        return _sum(x[:mid]) + _sum(x[mid:])
-    r = x[:8]
-    for row in range(8, n - 7, 8):
-        r[0] += x[row]
-        r[1] += x[row + 1]
-        r[2] += x[row + 2]
-        r[3] += x[row + 3]
-        r[4] += x[row + 4]
-        r[5] += x[row + 5]
-        r[6] += x[row + 6]
-        r[7] += x[row + 7]
-    s = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-    for v in x[n - n % 8:]:
-        s += v
-    return s
-
-
-def _finish(tables, eta, t, t_max, standard_exponential, random):
-    """Run one replica of ``simulate_batch`` on from occupancies ``eta``
-    (a list, changed in place) at time ``t`` until its total rate is 0 or
-    its clock passes ``t_max``; returns ``(eta, times, picks)``, the
-    picks being row entries of the rates as ``simulate_batch`` numbers
-    them from its first real edge.
-
-    The rates are a list ``[right_1, left_1, right_2, ...]`` and
-    ``cums[i]`` their running sum up to entry i - 1, valid for
-    ``i <= valid``: a jump refreshes the rates of the edges around it,
-    and the running sums from there on are summed again only when a
-    later pick lands beyond the part still valid.  Totals, times and
-    picks round as the lockstep arrays round them.
-    """
-    table_r, table_l = tables
-    cap = table_r.shape[0] - 1
-    top = min(cap, sum(eta)) + 1  # no site holds more than every particle
-    right = table_r[:top, :top].tolist()
-    left = table_l[:top, :top].tolist()
-    n_edges = len(eta) - 1
-    n = 2 * n_edges
-    rates = [0.0] * n
-
-    def refresh(lo, hi):
-        for e in range(lo, hi):
-            na, nb = eta[e], eta[e + 1]
-            rates[2 * e] = right[na][nb]
-            rates[2 * e + 1] = left[na][nb]
-
-    refresh(0, n_edges)
-    # the leading 0.0 can only change the sign of a zero running sum,
-    # which no comparison with u >= 0 can see
-    cums = [0.0] * (n + 1)
-    valid = 0
-    times, picks = [], []
-    while True:
-        total = _sum(rates)
-        if total <= 0.0:
-            return eta, times, picks
-        t += standard_exponential() * (1.0 / total)
-        if t > t_max:
-            return eta, times, picks
-        u = random() * total
-        if u > cums[valid]:
-            cums[valid:] = accumulate(rates[valid:], initial=cums[valid])
-            valid = n
-        j = bisect_left(cums, u, 1, valid + 1) - 1
-        if j == n:
-            j -= 1
-        times.append(t)
-        picks.append(j)
-        edge = j >> 1
-        if j & 1:
-            eta[edge] += 1
-            eta[edge + 1] -= 1
-        else:
-            eta[edge] -= 1
-            eta[edge + 1] += 1
-        if eta[edge] > cap or eta[edge + 1] > cap:
-            raise RuntimeError("occupancy cap %d exceeded" % cap)
-        lo = edge - 1 if edge else 0
-        refresh(lo, edge + 2 if edge + 2 < n_edges else n_edges)
-        if 2 * lo < valid:
-            valid = 2 * lo
 
 
 def _event_lists(steps, n_events):
