@@ -17,6 +17,16 @@ Each replica follows the one-replica array formulation (``rates.sum()``,
 NumPy's own float64 order and the pick uses sequential running sums, so
 its event times and jump choices do not depend on the block it runs in.
 
+A replica's random numbers come from its own stream in blocks of raw
+Philox words (``random_raw``), decoded by array arithmetic into exactly
+what ``standard_exponential()`` and ``random()`` would return.  This
+relies on two NumPy internals: ``random()`` is ``next_double``,
+``(w >> 11) * 2**-53`` of one word ``w``, and ``standard_exponential()``
+is the 256-layer ziggurat, whose tables ``_ziggurat`` ships and whose
+rare slow path is left to the replica's own Generator.  The tests derive
+the tables again from the installed NumPy and compare every replica's
+draws and final stream state with the per-call scalar loop.
+
 Reproducibility contract: every replica draws from its own counter-based
 stream keyed by (master seed, replica index), and ensemble reduction
 always runs in replica order, so results are byte-identical however the
@@ -29,12 +39,15 @@ import math
 
 import numpy as np
 
+from ._ziggurat import KE, WE
+
 __all__ = [
     "SeedTree", "TrajectoryLog", "simulate_ctmc", "simulate_batch",
     "run_ensemble", "q_moment_ensemble", "EnsembleResult",
 ]
 
 BATCH = 2048  # replicas that q_moment_ensemble advances in lockstep
+WORDS = 128  # raw Philox words buffered per live replica, two per step
 
 
 class SeedTree:
@@ -95,9 +108,16 @@ def simulate_batch(tables, eta0s, t_max, rngs, record_events=False):
     * the live replicas' edge rates form one array, entries 2e and
       2e + 1 of a row being the right and left rates of edge e; the
       totals are ``np.add.reduce`` along its rows;
-    * each replica draws ``standard_exponential()``, scaled by
+    * each step a replica draws ``standard_exponential()``, scaled by
       ``1/total`` as ``exponential(1/total)`` scales it, and then
-      ``random()``, from its own stream;
+      ``random()``, from its own stream.  Both are read from a buffer of
+      ``WORDS`` raw Philox words per replica (``random_raw``), two words
+      per step, decoded as NumPy decodes them: ``random()`` is
+      ``next_double``, ``(w >> 11) * 2**-53``, and an exponential is the
+      fast path of NumPy's 256-layer ziggurat (``_ziggurat``).  The rare
+      word that takes the ziggurat's slow path is drawn by the replica's
+      own Generator, moved to that word first, and the rest of the
+      buffer is refilled behind it;
     * the jump is the number of running sums (``np.cumsum``, in order)
       below ``u = random() * total``, clamped to the last rate, as
       ``searchsorted(cumsum, u)`` picks it;
@@ -106,7 +126,8 @@ def simulate_batch(tables, eta0s, t_max, rngs, record_events=False):
       gather the same for every edge; ghost rates are never summed.
 
     A replica whose total rate is 0 or whose clock passes ``t_max`` is
-    compacted out of the live arrays.  Replicas are independent, so an
+    compacted out of the live arrays, and its stream is put back to just
+    after the last word it used.  Replicas are independent, so an
     ensemble split into blocks of any size gives the same bits.
 
     Parameters
@@ -116,10 +137,11 @@ def simulate_batch(tables, eta0s, t_max, rngs, record_events=False):
         as ``models.edge_rate_table`` builds them.  A site holding more
         particles than the tables cover raises ``RuntimeError``.
     eta0s : (R, L) array_like of int
+        Occupancies >= 0, else ``ValueError``.
     t_max : float
         Finite and >= 0, else ``ValueError``: the clock never passes a
         NaN or infinite horizon.
-    rngs : sequence of R numpy Generators
+    rngs : sequence of R numpy Generators on ``Philox`` bit generators
     record_events : bool
         When True, the third item returned holds, per replica, the list
         of its events ``(time, edge, direction)`` in time order, as
@@ -133,6 +155,8 @@ def simulate_batch(tables, eta0s, t_max, rngs, record_events=False):
     cap = size - 1
     pair = np.stack((table_r, table_l), axis=-1).reshape(size * size, 2)
     finals = np.array(eta0s, dtype=int)
+    if finals.min(initial=0) < 0:
+        raise ValueError("occupancies must be >= 0")
     if finals.max(initial=0) > cap:
         raise RuntimeError("occupancy cap %d exceeded" % cap)
     n_events = np.zeros(len(finals), dtype=int)
@@ -150,41 +174,48 @@ def simulate_batch(tables, eta0s, t_max, rngs, record_events=False):
     cums = np.full((len(finals), width - 4), math.inf)
     live = np.arange(len(finals))
     t = np.zeros(len(finals))
-    exp_draws = [g.standard_exponential for g in rngs]
-    unif_draws = [g.random for g in rngs]
+    gens = list(rngs)
     # no site can pass the cap while no replica holds more particles
     guard = finals.sum(axis=1).max(initial=0) > cap
     window, refresh = np.arange(-1, 3), np.arange(6)
     step = 0
     steps = []  # one (replicas, times, picks) record per step
 
-    def retire(stop):
-        nonlocal live, eta, rates, t, total, exp_draws, unif_draws
+    def retire(stop, used):
+        # ``used`` words of the current buffer are spent
+        nonlocal live, eta, rates, t, total, draws, gens, marks
         gone = live[stop]
         finals[gone] = eta[stop, 1:-1]
         n_events[gone] = step
+        for i in np.flatnonzero(stop).tolist():
+            mark = next(m for m in reversed(marks[i]) if m[1] <= used)
+            _seek(gens[i].bit_generator, mark, used)
         keep = ~stop
-        live, eta, rates, t, total = (live[keep], eta[keep], rates[keep],
-                                      t[keep], total[keep])
+        live, eta, rates, t, total, draws = (live[keep], eta[keep],
+                                             rates[keep], t[keep],
+                                             total[keep], draws[keep])
         kept = keep.tolist()
-        exp_draws = list(compress(exp_draws, kept))
-        unif_draws = list(compress(unif_draws, kept))
+        gens = list(compress(gens, kept))
+        marks = list(compress(marks, kept))
 
+    # step col of a buffer reads its words 2 col and 2 col + 1
+    marks, draws = _fill(gens)
+    col = 0
     while True:
         total = np.add.reduce(rates[:, 2:-2], axis=1)
         stop = total <= 0.0
         if stop.any():
-            retire(stop)
-        t += np.array([f() for f in exp_draws]) * (1.0 / total)
+            retire(stop, 2 * col)
+        t += draws[:, 2 * col] * (1.0 / total)
         stop = t > t_max
         if stop.any():
-            retire(stop)
+            retire(stop, 2 * col + 1)
         n = len(live)
         if not n:
             if not record_events:
                 return finals, n_events
             return finals, n_events, _event_lists(steps, n_events)
-        u = np.array([f() for f in unif_draws]) * total
+        u = draws[:, 2 * col + 1] * total
         np.cumsum(rates[:, 2:-3], axis=1, out=cums[:n, :-1])
         j = (cums[:n] < u[:, None]).argmin(axis=1)
         if record_events:
@@ -206,6 +237,60 @@ def simulate_batch(tables, eta0s, t_max, rngs, record_events=False):
         at = np.arange(0, n * width, width) + (j - left)
         rates.reshape(-1).put(at[:, None] + refresh, pair.take(codes, axis=0))
         step += 1
+        col += 1
+        if col == WORDS // 2:
+            marks, draws = _fill(gens)
+            col = 0
+
+
+def _fill(gens):
+    """The next ``WORDS`` draws of each stream as ``_decode`` reads them,
+    with every slow-path exponential drawn, and per stream the list of
+    ``(state, word)`` marks from which ``_seek`` reaches any of them."""
+    bgs = [g.bit_generator for g in gens]
+    marks = [[(bg.state, 0)] for bg in bgs]
+    draws = _decode(np.array([bg.random_raw(WORDS) for bg in bgs]))
+    # An exponential whose word takes the ziggurat's slow path may read
+    # further words.  The stream's own Generator draws it from that word
+    # on, and the rest of the row is refilled behind it, so that every
+    # row keeps two words per step.  A refill can bring slow words of
+    # its own, hence the rounds.
+    while True:
+        slow = draws[:, 0::2] < 0.0
+        rows = np.flatnonzero(slow.any(axis=1))
+        if not rows.size:
+            return marks, draws
+        at = 2 * slow[rows].argmax(axis=1)
+        tails = np.zeros((len(rows), WORDS), dtype=np.uint64)
+        for tail, i, a in zip(tails, rows.tolist(), at.tolist()):
+            gen, bg = gens[i], bgs[i]
+            _seek(bg, marks[i][-1], a)
+            draws[i, a] = gen.standard_exponential()
+            marks[i].append((bg.state, a + 1))
+            tail[a + 1:] = bg.random_raw(WORDS - a - 1)
+        behind = np.arange(WORDS) > at[:, None]
+        draws[rows] = np.where(behind, _decode(tails), draws[rows])
+
+
+def _decode(words):
+    """The draws ``standard_exponential()`` makes from the even raw words
+    and ``random()`` from the odd ones, as NumPy makes them from one word
+    each; an even word that takes the ziggurat's slow path reads -1."""
+    ri = words >> 11
+    layer = ((words >> 3) & 0xFF).astype(np.intp)
+    draws = ri * WE[layer]
+    draws[ri >= KE[layer]] = -1.0
+    draws[..., 1::2] = ri[..., 1::2] * 2.0 ** -53
+    return draws
+
+
+def _seek(bit_generator, mark, to):
+    """Move a stream to just before buffer word ``to`` from ``mark``, a
+    state of the stream and the buffer word it stands before."""
+    state, at = mark
+    bit_generator.state = state
+    if to > at:
+        bit_generator.random_raw(to - at)
 
 
 def _event_lists(steps, n_events):

@@ -294,7 +294,9 @@ def asip_marginal_weights(i, params, alpha, n_max):
     the rest of the mass below 1e-14 of the sum and the rest of the first
     moment below 1e-13 of it: the normalization is ``w.sum()`` and the
     mean ``arange(len(w)) @ w / w.sum()``.  Raises ValueError when the
-    series diverges and RuntimeError past 100000 terms.
+    series diverges or needs more terms than ``q_number`` can take in
+    float64 (alpha very near ``alpha_max``), and RuntimeError past 100000
+    terms.
     """
     _check_site(i)
     q, k = params.q, params.k
@@ -308,7 +310,13 @@ def asip_marginal_weights(i, params, alpha, n_max):
     for n in range(100_000):
         mass += w[n]
         moment += n * w[n]
-        ratio = scale * q_number(n + 2 * k, q) / q_number(n + 1, q)
+        try:
+            ratio = scale * q_number(n + 2 * k, q) / q_number(n + 1, q)
+        except OverflowError:
+            raise ValueError(
+                "alpha too close to alpha_max: the series needs more than "
+                "%d terms, and q^-n overflows a float beyond that" % n
+            ) from None
         w.append(w[n] * ratio)
         # the ratios move monotonically to rho_inf, so no later one
         # exceeds rho and both tails from w[n + 1] on are geometric

@@ -361,6 +361,24 @@ def test_batch_matches_scalar_on_frozen_and_ragged_blocks(eta0s, t_max):
     assert got == ref
     if t_max == 0.0 or sum(map(sum, eta0s)) == 0:
         assert all(n == 0 for _, n, _, _ in got)
+    # a replica that retires before its first draw leaves its stream as
+    # it found it, although its word buffer was filled
+    tree = engine.SeedTree(4)
+    for r, (row, (_, n, state, _)) in enumerate(zip(eta0s, got)):
+        if sum(row) == 0 or len(row) == 1:
+            assert n == 0 and state == _stream_state(tree.stream(r))
+
+
+def test_batch_rejects_negative_occupancy():
+    # a negative occupancy would wrap around in the rate-table gather
+    p = ModelParams(q=0.8, k=0.5)
+    tables = _tables(p, 6)
+    with pytest.raises(ValueError, match="occupancies must be >= 0"):
+        engine.simulate_batch(tables, [[2, -1, 3]], 1.0,
+                              [engine.SeedTree(1).stream(0)])
+    with pytest.raises(ValueError, match="occupancies must be >= 0"):
+        engine.simulate_ctmc(tables, [2, -1, 3], 1.0,
+                             engine.SeedTree(1).stream(0))
 
 
 def test_batch_truncated_table_raises_occupancy_cap():
@@ -436,3 +454,106 @@ def test_batch_matches_scalar_on_random_chains(data, L, replicas, model, q,
             return str(exc)
 
     assert run(_batch_runs) == run(_scalar_runs)
+
+
+# ------------------------------------------------- raw Philox words
+
+def _draw_from_word(bit_generator, base, w):
+    """``standard_exponential()`` of a stream whose next raw words are
+    ``w, 0, 0``, and the number of words it took."""
+    state = dict(base)
+    state["buffer"] = np.array([w, 0, 0, 0], dtype=np.uint64)
+    state["buffer_pos"] = 0
+    bit_generator.state = state
+    x = np.random.Generator(bit_generator).standard_exponential()
+    return x, bit_generator.state["buffer_pos"]
+
+
+def test_ziggurat_tables_match_installed_numpy():
+    # A word w gives ri = w >> 11 and the layer (w >> 3) & 0xFF.  WE is
+    # the draw at ri = 1; KE is the first ri whose draw reads a second
+    # word (the slow path), found by bisection.  The second word 0 makes
+    # a slow draw stop after at most three words, so it never reaches
+    # a freshly generated Philox block.
+    bit_generator = np.random.Philox(key=np.array([0, 0], dtype=np.uint64))
+    base = bit_generator.state
+    ke, we = [], []
+    for layer in range(256):
+        lo, hi = 0, 2 ** 53
+        while lo < hi:
+            mid = (lo + hi) // 2
+            _, used = _draw_from_word(bit_generator, base,
+                                      (mid << 11) | (layer << 3))
+            lo, hi = (mid + 1, hi) if used == 1 else (lo, mid)
+        ke.append(lo)
+        we.append(_draw_from_word(bit_generator, base,
+                                  (1 << 11) | (layer << 3))[0])
+    assert ke[1] == 0  # layer 1 always takes the slow path
+    assert np.array_equal(engine.KE, np.array(ke, dtype=np.uint64))
+    assert np.array_equal(engine.WE, np.array(we))
+
+
+def _words_used(rng):
+    """Raw words a freshly keyed Philox stream has handed out, plus 4."""
+    s = rng.bit_generator.state
+    return 4 * int(s["state"]["counter"][0]) + s["buffer_pos"]
+
+
+class _SlowTally:
+    """Stands in for a Generator in ``_ref_simulate_ctmc`` and notes, per
+    exponential, whether it took NumPy's slow path (more than one word)."""
+
+    def __init__(self, rng):
+        self.rng, self.slow = rng, []
+
+    def exponential(self, scale):
+        before = _words_used(self.rng)
+        x = self.rng.exponential(scale)
+        self.slow.append(_words_used(self.rng) - before > 1)
+        return x
+
+    def random(self):
+        return self.rng.random()
+
+
+@pytest.mark.parametrize("words", [2, 6, engine.WORDS])
+def test_batch_matches_scalar_across_buffer_refills(monkeypatch, words):
+    # trajectories of several hundred steps cross many refills of the
+    # word buffers; q-product draws W = 21 uniforms first, which leaves
+    # each stream in the middle of a Philox block of four words
+    monkeypatch.setattr(engine, "WORDS", words)
+    for formula, W, t_max in (("q-step", 40, 1.0), ("q-product", 21, 6.0)):
+        tables, init = _current_case(formula, W)
+        if formula == "q-product":
+            rng = engine.SeedTree(12).stream(0)
+            init(rng)
+            assert rng.bit_generator.state["buffer_pos"] != 4
+        ref = _scalar_runs(tables, init, t_max, 5, 12)
+        assert _batch_runs(tables, init, t_max, 5, 12) == ref
+        assert max(n for _, n, _, _ in ref) > 3 * engine.WORDS // 2
+
+
+@pytest.mark.parametrize("words", [2, engine.WORDS])
+@pytest.mark.parametrize("where", ["last jump", "past t_max"])
+def test_batch_slow_path_exponential_at_the_end(monkeypatch, words, where):
+    # The first replica of seed 3 whose exponential k >= 1 takes the slow
+    # path: a horizon between the times of events k and k + 1 makes it
+    # the draw of the last jump, one between events k - 1 and k the draw
+    # that passes t_max.  Either way the replica retires soon after, and
+    # its stream must end where the scalar loop leaves it.
+    monkeypatch.setattr(engine, "WORDS", words)
+    tables, init = _current_case("q-step", 16)
+    tree = engine.SeedTree(3)
+    for r in range(200):
+        tally = _SlowTally(tree.stream(r))
+        times = [ev[0] for ev in
+                 _ref_simulate_ctmc(tables, init(None), 5.0, tally).events]
+        slow = [k for k in range(1, len(times) - 1) if tally.slow[k]]
+        if slow:
+            break
+    k = slow[0]
+    lo, hi = (k, k + 1) if where == "last jump" else (k - 1, k)
+    t_max = 0.5 * (times[lo] + times[hi])
+    ref = _scalar_runs(tables, init, t_max, r + 1, 3)
+    assert ref[r][1] == hi
+    assert _batch_runs(tables, init, t_max, r + 1, 3) == ref

@@ -193,6 +193,14 @@ def test_marginal_series_rejects_divergent_alpha():
         models.asip_marginal_weights(1, p, models.alpha_max(p), 0)
 
 
+@pytest.mark.parametrize("q,frac", [(0.5, 0.99), (0.1, 0.9)])
+def test_marginal_series_near_alpha_max_fails_with_its_cause(q, frac):
+    # the series converges but needs more terms than q^-n can reach
+    p = ModelParams(q=q, k=0.5)
+    with pytest.raises(ValueError, match="too close to alpha_max"):
+        models.asip_marginal_weights(1, p, frac * models.alpha_max(p), 0)
+
+
 @pytest.mark.parametrize("q,k", [(0.8, 0.5), (0.7, 1.0), (0.9, 1.5)])
 def test_partition_function_closed_form(q, k):
     p = ModelParams(q=q, k=k)
