@@ -510,10 +510,29 @@ def cmd_current(spec):
     W = spec.window
     half = W // 2
     rows = ["formula,param_hash,theory,mc,se,z"]
+    try:
+        if spec.formula == "q-step":
+            eta0 = np.array([2] * half + [0] * (W - half))
+            theory = currents.q_moment_fixed_config(eta0, -half, spec.bond,
+                                                    spec.t, p)
+        elif spec.formula == "q-product":
+            theory = currents.q_moment_product(
+                [1.0 - spec.bernoulli, spec.bernoulli], spec.t, p)
+        elif spec.formula == "energy-product":
+            tilt = _energy_tilt(spec)
+            theory = currents.abep_moment_product(
+                math.exp(tilt), math.exp(-tilt), spec.t, spec.k)
+            bessel = currents.abep_moment_fixed(
+                np.full(4 * spec.window, spec.energy), -2 * spec.window,
+                0, spec.t, spec.k, spec.sigma)
+        else:
+            raise SystemExit("unknown formula %r" % spec.formula)
+    except ValueError as exc:
+        raise SystemExit("no %s theory at these arguments: %s"
+                         % (spec.formula, exc))
+    if not math.isfinite(theory):
+        raise SystemExit("the %s theory overflows a float" % spec.formula)
     if spec.formula == "q-step":
-        eta0 = np.array([2] * half + [0] * (W - half))
-        theory = currents.q_moment_fixed_config(eta0, -half, spec.bond,
-                                                spec.t, p)
         tables = models.edge_rate_table("asip", p, n_max=int(eta0.sum()))
         digest = currents.param_hash("q-step", spec.q, spec.k, spec.t, W,
                                      spec.bond)
@@ -521,31 +540,13 @@ def cmd_current(spec):
         def init(rng):
             return eta0
     elif spec.formula == "q-product":
-        mu = [1.0 - spec.bernoulli, spec.bernoulli]
-        theory = currents.q_moment_product(mu, spec.t, p)
         tables = models.edge_rate_table("asip", p, n_max=W)
         digest = currents.param_hash("q-product", spec.q, spec.k, spec.t, W,
                                      spec.bernoulli)
 
         def init(rng):
             return (rng.random(W) < spec.bernoulli).astype(int)
-    elif spec.formula == "energy-product":
-        tilt = _energy_tilt(spec)
-        # the series raises on a power lam^l past a float, the walker sum
-        # on e^(2 sigma E_bond), E_bond = 2 * window * energy
-        try:
-            with np.errstate(over="ignore", invalid="ignore"):
-                theory = currents.abep_moment_product(
-                    math.exp(tilt), math.exp(-tilt), spec.t, spec.k)
-                bessel = currents.abep_moment_fixed(
-                    np.full(4 * spec.window, spec.energy), -2 * spec.window,
-                    0, spec.t, spec.k, spec.sigma)
-        except OverflowError:
-            theory = bessel = math.inf
-        if not (math.isfinite(theory) and math.isfinite(bessel)):
-            raise SystemExit("the energy moments overflow a float at "
-                             "2 * --sigma * --energy = %g, --window %d"
-                             % (tilt, spec.window))
+    else:
         # the walker sum covers 4 * window sites, too few to stand for the
         # homogeneous profile when the tilt is large
         if abs(theory - bessel) > 1e-8 * abs(theory):
@@ -561,8 +562,6 @@ def cmd_current(spec):
             _fmt(abs(theory - bessel))))
         _emit(spec.out, rows)
         return 0
-    else:
-        raise SystemExit("unknown formula %r" % spec.formula)
 
     res = engine.q_moment_ensemble(tables, init, half + spec.bond, spec.q,
                                    spec.t, spec.replicas, spec.seed)

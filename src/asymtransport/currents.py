@@ -17,7 +17,14 @@ dual walker:
 
 Both have product-initial-condition versions involving only the one-site
 moment generating values of the marginal, and long-time growth rates
-given by a Legendre-type variational formula.
+given by a Legendre-type variational formula.  Each moment is a sum of
+tail probabilities of the walker law P = Skellam(mu_r, mu_l), by the
+reflection ``P(d) (mu_l / mu_r)^d = P(-d)`` and the exponential tilt
+``sum_m P(m) r^m 1_A(m) = exp(mu_r (r - 1) + mu_l (1/r - 1)) Pr[A]``
+under Skellam(mu_r r, mu_l / r).  A tail is a sum of the pmf over the
+window ``mean +- (12 sd + 30)``, which holds all of the law but e^-70; a
+window wider than 2^20 sites (8 MB), or a moment past the float range,
+raises ValueError.
 """
 
 import hashlib
@@ -114,6 +121,38 @@ def growth_rate_discrete(mu, q, k):
     return growth_rate(math.log(q ** (-4.0 * k) * lam_inv), a, b)
 
 
+_WINDOW_MAX = 1 << 20  # walker window sites, 8 MB of float64
+
+
+def _walker_tail(m, mu_r, mu_l, r=1.0):
+    """``E[r^X 1_(X>=m)]`` at each integer ``m`` for X ~ Skellam(mu_r,
+    mu_l): by the tilt, ``exp((r - 1)(mu_r - mu_l / r))`` times a reverse
+    cumulative sum of one ``skellam_pmf`` call on the window of the law
+    Skellam(mu_r r, mu_l / r)."""
+    log_scale = (r - 1.0) * (mu_r - mu_l / r)
+    mu_r, mu_l = mu_r * r, mu_l / r
+    half = 12.0 * math.sqrt(mu_r + mu_l) + 30.0  # finite iff both rates are
+    if not 2.0 * half < _WINDOW_MAX:
+        raise ValueError("the walker law with rates %.4g, %.4g needs a "
+                         "window of more than %d sites"
+                         % (mu_r, mu_l, _WINDOW_MAX))
+    if log_scale > 709.78:  # about the log of the largest float
+        raise ValueError("the moment overflows a float: e^%.6g" % log_scale)
+    lo = math.floor(mu_r - mu_l - half)
+    pmf = skellam_pmf(np.arange(lo, math.ceil(mu_r - mu_l + half) + 1),
+                      mu_r, mu_l)
+    # The mass takes out rounding shared by the whole window; far from 1,
+    # the Bessel factor underflowed and only the tails at the ends hold.
+    i = np.clip(np.asarray(m) - lo, 0, len(pmf))
+    mass = pmf.sum()
+    if not abs(mass - 1.0) < 1e-9 and np.any((i > 0) & (i < len(pmf))):
+        raise ValueError("the walker law with rates %.4g, %.4g underflows "
+                         "a float" % (mu_r, mu_l))
+    above = np.cumsum(np.concatenate([pmf, [0.0]])[::-1])[::-1] / (mass or 1)
+    above[0] = 1.0
+    return math.exp(log_scale) * above[i]
+
+
 def q_moment_fixed_config(eta_window, window_start, bond, t, params):
     """``E[q^(2 J_bond(t))]`` for a deterministic initial configuration
     supported on a finite window of the integer line.
@@ -130,118 +169,69 @@ def q_moment_fixed_config(eta_window, window_start, bond, t, params):
 
     Notes
     -----
-    The closed form is ``q^(2 sum_(n<bond) eta_n)`` minus a sum over
-    starting points n <= bond - 1 of the dual-walker expectation of
-    ``q^(-4k m(t)) (1 - q^(-2 eta_m)) q^(2 (N_m - N_bond))``.  The factor
-    ``1 - q^(-2 eta_m)`` vanishes off the occupied sites, so each walker
-    expectation is a finite Skellam sum over the occupied window; the
-    starting-point sum is extended left of the window until its terms are
-    below 1e-14 relative to the accumulated value, and raises
-    RuntimeError if that takes more than 4000 sites.
+    The closed form, ``q^(2 sum_(n<bond) eta_n)`` minus a sum over the
+    starting points n <= bond - 1 of the dual walker m(t), is by the
+    reflection ``E[g(bond - m(t))]`` with ``g(n) = q^(2 (N_n - N_bond))``.
+    g is constant off the window: summing by parts leaves one tail per site.
     """
     q, k = params.q, params.k
     if q >= 1.0:
         raise ValueError("the q-moment closed form needs q < 1")
     eta = np.asarray(eta_window, dtype=int)
-    W = len(eta)
-    tails = np.concatenate([np.cumsum(eta[::-1])[::-1], [0]])  # suffix sums
-
-    def tail_count_at(m):
-        if m < window_start:
-            return int(tails[0])
-        if m >= window_start + W:
-            return 0
-        return int(tails[m - window_start])
-
-    n_bond = tail_count_at(bond)
-    total = int(tails[0])
-    first = q ** (2.0 * (total - n_bond))
-
-    occ = [window_start + j for j in range(W) if eta[j] > 0]
-    if not occ:
-        return first
-    occ = np.asarray(occ)
-    weights = np.array([
-        q ** (-4.0 * k * m) * (1.0 - q ** (-2.0 * eta[m - window_start]))
-        * q ** (2.0 * (tail_count_at(m) - n_bond))
-        for m in occ
-    ])
+    tails = np.concatenate([np.cumsum(eta[::-1])[::-1], [0]])  # N_n
+    n_bond = tails[min(max(bond - window_start, 0), len(eta))]
     a, b = walker_rates(q, k)
-    mu_r, mu_l = a * t, b * t
-
-    acc = 0.0
-    n = bond - 1
-    below_window = 0
-    while True:
-        pmf = skellam_pmf(occ - n, mu_r, mu_l)
-        term = q ** (4.0 * k * n) * float(np.dot(pmf, weights))
-        acc += term
-        if n < occ.min():
-            below_window += 1
-            if abs(term) <= 1e-14 * max(abs(acc), 1e-300):
-                break
-            if below_window > 4000:
-                raise RuntimeError("walker sum did not converge")
-        n -= 1
-    return first - acc
+    reach = _walker_tail(window_start + 1 - bond + np.arange(len(eta)),
+                         b * t, a * t)
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = q ** (2.0 * (tails - n_bond))
+        out = float(g[0] + np.dot(np.diff(g), reach))
+    if not math.isfinite(out):
+        raise ValueError("E[q^(2J)] overflows a float")
+    return out
 
 
 def q_moment_product(mu, t, params):
     """``E[q^(2 J(t))]`` under the homogeneous product initial law with
-    marginal pmf ``mu`` on the infinite chain:
-
-    ``E[(q^-4k / lam_q)^m 1_(m<=0)] + E[(q^-4k lam_inv)^m 1_(m>=1)]``
-
-    with ``lam_q = E[q^(2 eta)]``, ``lam_inv = E[q^(-2 eta)]`` and m the
-    time-t position of the dual walker started at 0.  The first term also
-    equals ``E[lam_q^m 1_(m>=0)]`` by a reflection identity.
+    marginal pmf ``mu`` on the infinite chain: with ``lam_q = E[q^(2 eta)]``,
+    ``lam_inv = E[q^(-2 eta)]`` and m the time-t position of the dual
+    walker started at 0, it is ``E[(q^-4k / lam_q)^m 1_(m<=0)] +
+    E[(q^-4k lam_inv)^m 1_(m>=1)]``, by the reflection
+    ``E[lam_q^m 1_(m>=0)] + E[lam_inv^(-m) 1_(m<=-1)]``: two tilted tails.
     """
     q, k = params.q, params.k
     if q >= 1.0:
         raise ValueError("the q-moment closed form needs q < 1")
     lam_q, lam_inv = marginal_q_factors(mu, q)
     a, b = walker_rates(q, k)
-    mu_r, mu_l = a * t, b * t
-
-    def series(start, step, value):
-        acc = 0.0
-        m = start
-        while True:
-            term = skellam_pmf(m, mu_r, mu_l) * value(m)
-            acc += term
-            if abs(term) <= 1e-15 * max(abs(acc), 1e-300) and abs(m) > 4 * (
-                    mu_r + mu_l) + 10:
-                return acc
-            m += step
-
-    left = series(0, -1, lambda m: (q ** (-4.0 * k) / lam_q) ** m)
-    right = series(1, +1, lambda m: (q ** (-4.0 * k) * lam_inv) ** m)
-    return left + right
+    return float(_walker_tail(0, a * t, b * t, lam_q)
+                 + _walker_tail(1, b * t, a * t, lam_inv))
 
 
 def q_moment_product_series(mu, t, params):
     """Independent evaluation of the product-law q-moment directly from
-    the walker representation, summing over starting points -400 <= n <=
-    -1 and integrating the marginal factors site by site; used as a
-    cross-check of the compact two-term form."""
+    the walker representation, summing over starting points n <= -1 and
+    integrating the marginal factors site by site; used as a cross-check
+    of the compact two-term form.  It stops at the first term past the
+    walker's reach below 1e-15 of the sum, or raises RuntimeError."""
     q, k = params.q, params.k
     lam_q, lam_inv = marginal_q_factors(mu, q)
     a, b = walker_rates(q, k)
     mu_r, mu_l = a * t, b * t
     span = int(4 * (mu_r + mu_l) + 40)
     acc = 0.0
-    for n in range(-1, -401, -1):
+    for n in range(-1, -20_001, -1):
         ms = np.arange(n - span, n + span + 1)
         pmf = skellam_pmf(ms - n, mu_r, mu_l)
         # product-law average of q^(2(N_(m+1) - N_0)) - q^(2(N_m - N_0))
         avg = np.where(ms + 1 <= 0, lam_q ** (-(ms + 1)),
                        lam_inv ** (ms + 1)) \
             - np.where(ms <= 0, lam_q ** (-ms), lam_inv ** ms)
-        term = q ** (4.0 * k * n) * float(np.dot(pmf, q ** (-4.0 * k * ms) * avg))
+        term = float(np.dot(pmf, q ** (-4.0 * k * (ms - n)) * avg))
         acc += term
         if abs(term) < 1e-15 * max(1.0, abs(acc)) and n < -span:
-            break
-    return acc
+            return acc
+    raise RuntimeError("the starting-point series did not converge")
 
 
 def abep_moment_fixed(x_window, window_start, bond, t, k, sigma):
@@ -250,54 +240,20 @@ def abep_moment_fixed(x_window, window_start, bond, t, k, sigma):
 
     ``e^(-4kt) sum_n e^(-2 sigma (E_n - E_bond)) I_(|n - bond|)(4kt)``.
 
-    Outside the window the partial energy E_n is constant (the total on
-    the left, zero on the right), so both tails reduce to closed walker
-    tail probabilities and the evaluation is exact.
+    The weight is constant off the window: summing by parts leaves one
+    walker tail per window site.
     """
     x = np.asarray(x_window, dtype=float)
-    W = len(x)
-    energies = np.concatenate([np.cumsum(x[::-1])[::-1], [0.0]])
-
-    def energy_at(n):
-        if n < window_start:
-            return float(energies[0])
-        if n >= window_start + W:
-            return 0.0
-        return float(energies[n - window_start])
-
-    e_bond = energy_at(bond)
-    rate_t = 2.0 * k * t
-    lo, hi = window_start, window_start + W
-    ns = np.arange(lo, hi + 1)
-    pmf = skellam_pmf(ns - bond, rate_t, rate_t)
-    bulk = float(np.sum(pmf * np.exp(-2.0 * sigma
-                                     * (np.array([energy_at(n) for n in ns])
-                                        - e_bond))))
-    p_in = float(np.sum(pmf))
-    # walker left of the window sees the full energy, right of it sees none
-    p_left = _walk_tail(lo - 1 - bond, rate_t, side="left")
-    p_right = _walk_tail(hi + 1 - bond, rate_t, side="right")
-    out = bulk
-    out += math.exp(-2.0 * sigma * (float(energies[0]) - e_bond)) * p_left
-    out += math.exp(2.0 * sigma * e_bond) * p_right
-    resid = 1.0 - (p_in + p_left + p_right)
-    if abs(resid) > 1e-10:
-        raise ArithmeticError("walker law does not sum to 1: residual %g"
-                              % resid)
+    energies = np.concatenate([np.cumsum(x[::-1])[::-1], [0.0]])  # E_n
+    e_bond = energies[min(max(bond - window_start, 0), len(x))]
+    reach = _walker_tail(window_start + 1 - bond + np.arange(len(x)),
+                         2.0 * k * t, 2.0 * k * t)
+    with np.errstate(over="ignore", invalid="ignore"):
+        f = np.exp(-2.0 * sigma * (energies - e_bond))
+        out = float(f[0] + np.dot(np.diff(f), reach))
+    if not math.isfinite(out):
+        raise ValueError("E[e^(-2 sigma J)] overflows a float")
     return out
-
-
-def _walk_tail(edge, rate_t, side):
-    """P(walk displacement <= edge) or >= edge for the symmetric walk."""
-    step = -1 if side == "left" else +1
-    acc = 0.0
-    d = edge
-    while True:
-        term = float(skellam_pmf(d, rate_t, rate_t))
-        acc += term
-        if term <= 1e-15 * max(acc, 1e-300) and abs(d) > 2 * rate_t + 10:
-            return acc
-        d += step
 
 
 def abep_moment_product(lam_plus, lam_minus, t, k):
@@ -305,20 +261,14 @@ def abep_moment_product(lam_plus, lam_minus, t, k):
     law with ``lam_plus = E[e^(2 sigma x)]``, ``lam_minus =
     E[e^(-2 sigma x)]``:
 
-    ``P(l(t) = 0) + E[(lam_plus^l + lam_minus^l) 1_(l>=1)]``.
+    ``P(l(t) = 0) + E[(lam_plus^l + lam_minus^l) 1_(l>=1)]``: two tilted
+    tails, ``E[lam_plus^l 1_(l>=0)]`` and ``E[lam_minus^l 1_(l>=1)]``.
     """
-    if not (math.isfinite(lam_plus) and math.isfinite(lam_minus)):
-        raise ValueError("lam_plus and lam_minus must be finite")
+    if not (0.0 < lam_plus < math.inf and 0.0 < lam_minus < math.inf):
+        raise ValueError("lam_plus and lam_minus must be finite and > 0")
     rate_t = 2.0 * k * t
-    acc = float(skellam_pmf(0, rate_t, rate_t))
-    l = 1
-    while True:
-        term = float(skellam_pmf(l, rate_t, rate_t)) \
-            * (lam_plus ** l + lam_minus ** l)
-        acc += term
-        if term <= 1e-15 * max(acc, 1e-300) and l > 2 * rate_t + 10:
-            return acc
-        l += 1
+    return float(_walker_tail(0, rate_t, rate_t, lam_plus)
+                 + _walker_tail(1, rate_t, rate_t, lam_minus))
 
 
 def param_hash(*values):

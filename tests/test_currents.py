@@ -4,10 +4,12 @@ import contextlib
 import math
 import signal
 
+import mpmath as mp
 import numpy as np
 import pytest
 
 from asymtransport import currents as cur
+from asymtransport.cli import main
 from asymtransport.configspace import ModelParams
 from asymtransport.qcalc import skellam_pmf
 
@@ -184,10 +186,230 @@ def _deadline(seconds):
     lambda: cur.abep_moment_product(1.2, math.inf, 1.0, 0.5),
     lambda: cur.abep_moment_product(1.2, 0.8, math.nan, 0.5),
     lambda: cur.abep_moment_fixed([1.0, 0.5], 0, 1, math.nan, 0.5, 0.5),
-    lambda: cur._walk_tail(3, math.nan, "left"),
+    lambda: cur._walker_tail(3, math.nan, math.nan),
+    lambda: cur.q_moment_fixed_config([1, 0, 2], 0, 1, math.inf, P),
+    lambda: cur.abep_moment_fixed([1.0, 0.5], 0, 1, math.inf, 0.5, 0.5),
 ], ids=["product-t-nan", "product-t-inf", "product-mu-nan", "product-mu-inf",
         "fixed-t-nan", "abep-lam-nan", "abep-lam-inf", "abep-t-nan",
-        "abep-fixed-t-nan", "walk-tail-nan"])
+        "abep-fixed-t-nan", "walk-tail-nan", "fixed-t-inf",
+        "abep-fixed-t-inf"])
 def test_series_reject_non_finite_input(call):
     with _deadline(5.0), pytest.raises(ValueError):
         call()
+
+
+# ------------------------------------------------------ 40-digit references
+# Each moment is summed term by term from its defining walker series, in
+# 40-digit arithmetic with mp.fsum over an explicit window that reaches
+# 14 sd + 60 sites past the mean of the walker law that carries the
+# terms; the inputs are the binary floats the code sees.  (mp.nsum is not
+# used: its extrapolation returned -7.7e79 at q = 0.5, k = 1.5.)
+
+def _ref_pmf(mu_r, mu_l):
+    x = 2 * mp.sqrt(mu_r * mu_l)
+    cache = {}
+
+    def pmf(m):
+        if m not in cache:
+            cache[m] = (mp.exp(-(mu_r + mu_l)) * mp.besseli(abs(m), x)
+                        * (mu_r / mu_l) ** (mp.mpf(m) / 2))
+        return cache[m]
+    return pmf
+
+
+def _ref_reach(mu_r, mu_l):
+    return int(abs(mu_r - mu_l) + 14 * mp.sqrt(mu_r + mu_l) + 60)
+
+
+def _ref_rates(q, k, t):
+    q, k, t = mp.mpf(q), mp.mpf(k), mp.mpf(t)
+    base = (q ** (2 * k) - q ** (-2 * k)) / (q - 1 / q)
+    return q, k, base * q ** (2 * k) * t, base * q ** (-2 * k) * t
+
+
+def _ref_q_step(q, k, t, window=40, bond=0):
+    # q^(2 sum_(n<bond) eta_n) minus the walker sum over starting points
+    q, k, mu_r, mu_l = _ref_rates(q, k, t)
+    half = window // 2
+    eta = [2] * half + [0] * (window - half)
+
+    def tail(n):  # N_n
+        return sum(eta[max(n + half, 0):])
+
+    pmf = _ref_pmf(mu_r, mu_l)
+    occ = [m for m in range(-half, window - half) if eta[m + half]]
+    weight = {m: q ** (-4 * k * m) * (1 - q ** (-2 * eta[m + half]))
+              * q ** (2 * (tail(m) - tail(bond))) for m in occ}
+    lowest = min(occ) - _ref_reach(mu_r, mu_l)
+    terms = [q ** (4 * k * n) * pmf(m - n) * weight[m]
+             for n in range(bond - 1, lowest - 1, -1) for m in occ]
+    return q ** (2 * (tail(-half) - tail(bond))) - mp.fsum(terms)
+
+
+def _ref_q_product(q, k, t, bernoulli):
+    q, k, mu_r, mu_l = _ref_rates(q, k, t)
+    b = mp.mpf(bernoulli)
+    lam_q, lam_inv = 1 - b + b * q ** 2, 1 - b + b * q ** -2
+    pmf = _ref_pmf(mu_r, mu_l)
+    left, right = q ** (-4 * k) / lam_q, q ** (-4 * k) * lam_inv
+    lo = -_ref_reach(mu_l / lam_q, mu_r * lam_q)
+    hi = _ref_reach(mu_l * lam_inv, mu_r / lam_inv)
+    return (mp.fsum(pmf(m) * left ** m for m in range(lo, 1))
+            + mp.fsum(pmf(m) * right ** m for m in range(1, hi + 1)))
+
+
+def _ref_abep_product(lam_plus, lam_minus, t, k):
+    rate = 2 * mp.mpf(k) * mp.mpf(t)
+    lam_plus, lam_minus = mp.mpf(lam_plus), mp.mpf(lam_minus)
+    pmf = _ref_pmf(rate, rate)
+    lam = max(lam_plus, 1 / lam_minus)
+    return pmf(0) + mp.fsum(pmf(l) * (lam_plus ** l + lam_minus ** l)
+                            for l in range(1, _ref_reach(rate * lam,
+                                                         rate / lam) + 1))
+
+
+def _ref_abep_fixed(x_window, window_start, bond, t, k, sigma):
+    rate = 2 * mp.mpf(k) * mp.mpf(t)
+    x = [mp.mpf(v) for v in x_window]
+
+    def energy(n):  # E_n
+        return mp.fsum(x[max(n - window_start, 0):])
+
+    pmf = _ref_pmf(rate, rate)
+    reach = _ref_reach(rate, rate) + len(x)
+    return mp.fsum(pmf(n - bond) * mp.exp(-2 * sigma * (energy(n)
+                                                         - energy(bond)))
+                   for n in range(bond - reach, bond + reach + 1))
+
+
+def _step(q, k, t, window=40, bond=0):
+    half = window // 2
+    return cur.q_moment_fixed_config([2] * half + [0] * (window - half),
+                                     -half, bond, t, ModelParams(q=q, k=k))
+
+
+def _product(q, k, t, bernoulli):
+    return cur.q_moment_product([1.0 - bernoulli, bernoulli], t,
+                                ModelParams(q=q, k=k))
+
+
+ENSEMBLE_MIX = [(0.8, 0.5, 1.0, 0.5), (0.9, 1.0, 1.0, 0.3),
+                (0.85, 0.5, 1.2, 0.5)]
+TILT = (math.exp(1.0), math.exp(-1.0))  # the energy-product defaults
+REFERENCE_POINTS = [
+    # mc_step pool (W = 40, bond 0; the first is also the golden file's)
+    (_step, _ref_q_step, (0.8, 0.5, 1.0), 1e-13),
+    (_step, _ref_q_step, (0.85, 1.0, 1.0), 1e-13),
+    (_step, _ref_q_step, (0.9, 1.0, 0.75), 1e-13),
+    (_step, _ref_q_step, (0.8, 0.5, 1.0, 40, 5), 1e-13),
+    (_step, _ref_q_step, (0.8, 0.5, 1.0, 40, -5), 1e-13),
+    # ensemble_mix pool, and the golden file's q-product arguments
+    *[(_product, _ref_q_product, args, 1e-13) for args in ENSEMBLE_MIX],
+    (_product, _ref_q_product, (0.8, 0.5, 1.0, 0.4), 1e-13),
+    # the energy-product defaults, and a pair off the diagonal
+    (cur.abep_moment_product, _ref_abep_product, TILT + (1.0, 0.5), 1e-13),
+    (cur.abep_moment_product, _ref_abep_product, (1.3, 0.9, 2.0, 0.75),
+     1e-13),
+    (cur.abep_moment_fixed, _ref_abep_fixed,
+     (np.full(160, 1.0), -80, 0, 1.0, 0.5, 0.5), 1e-13),
+    (cur.abep_moment_fixed, _ref_abep_fixed,
+     (np.array([1.0, 0.5, 2.0, 0.0, 3.0]), -2, 1, 0.8, 0.75, 0.4), 1e-13),
+    # strongly asymmetric walkers; the q-step moments there read 1
+    (_step, _ref_q_step, (0.5, 2.0, 3.0), 1e-12),
+    (_step, _ref_q_step, (0.5, 2.0, 1.0), 1e-12),
+    (_step, _ref_q_step, (0.6, 2.0, 3.0), 1e-12),
+    (_product, _ref_q_product, (0.5, 1.5, 3.0, 0.7), 1e-12),
+]
+
+
+@pytest.mark.parametrize("moment,reference,args,rel", REFERENCE_POINTS, ids=[
+    "%s(%s)" % (moment.__name__.strip("_"), ",".join(
+        "%.4g" % a for a in args if not isinstance(a, np.ndarray)))
+    for moment, _, args, _ in REFERENCE_POINTS])
+def test_moments_match_40_digit_references(moment, reference, args, rel):
+    with mp.workdps(40):
+        ref = reference(*args)
+    value = moment(*args)
+    assert abs(value - ref) <= rel * abs(ref), (value, mp.nstr(ref, 20))
+
+
+@pytest.mark.parametrize("q,k,t", [(0.5, 2.0, 1.0), (0.6, 2.0, 3.0),
+                                   (0.5, 2.0, 3.0), (0.5, 2.0, 10.0)])
+def test_step_moment_reads_one_at_strong_asymmetry(q, k, t):
+    # the walker pmf carries rounding shared by its whole window, which the
+    # window's mass takes out; at t = 3 the Bessel factor underflows over
+    # the window, at t = 10 to an exact 0, and only its ends are used
+    assert abs(_step(q, k, t) - 1.0) <= 1e-15
+
+
+@pytest.mark.parametrize("call", [
+    lambda: _product(0.5, 1.5, 6.0, 0.99),
+    lambda: cur.abep_moment_product(math.exp(20.0), math.exp(-20.0), 1.0,
+                                    0.5),
+    lambda: cur.abep_moment_fixed(np.full(640, 2.0), -320, 0, 1.0, 0.5, 1.0),
+    lambda: _step(0.5, 0.5, 1.0, 1000, -499),
+], ids=["product", "abep-product", "abep-fixed", "step"])
+def test_moments_past_the_float_range_raise(call):
+    with pytest.raises(ValueError):
+        call()
+
+
+def test_moment_on_an_underflowing_walker_law_is_refused():
+    # Skellam(153, 6e-6): the Bessel factor of its pmf underflows over the
+    # window, and the tail at 1 falls inside it
+    with pytest.raises(ValueError):
+        _product(0.1, 1.0, 0.003, 0.5)
+
+
+@pytest.mark.parametrize("q,k,t,bernoulli", ENSEMBLE_MIX)
+def test_product_series_converges_at_the_ensemble_mix_slots(q, k, t,
+                                                             bernoulli):
+    with mp.workdps(40):
+        ref = _ref_q_product(q, k, t, bernoulli)
+    series = cur.q_moment_product_series([1.0 - bernoulli, bernoulli], t,
+                                         ModelParams(q=q, k=k))
+    assert abs(series - ref) <= 1e-13 * abs(ref)
+
+
+def test_product_series_raises_past_its_cap():
+    # lam_q = 1 - 3.6e-7: the terms decay too slowly to stop
+    with pytest.raises(RuntimeError):
+        cur.q_moment_product_series([1.0 - 1e-6, 1e-6], 1.0, P)
+
+
+@pytest.mark.parametrize("formula,most", [("q-step", 1), ("q-product", 2)])
+def test_current_request_evaluates_the_walker_pmf_once_per_law(
+        tmp_path, monkeypatch, formula, most):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return skellam_pmf(*args)
+
+    monkeypatch.setattr(cur, "skellam_pmf", counted)
+    out = tmp_path / "cur.csv"
+    assert main(["current", "--formula", formula, "--q", "0.8", "--k", "0.5",
+                 "--t", "1.0", "--window", "40", "--replicas", "8",
+                 "--seed", "1", "--out", str(out)]) == 0
+    assert 1 <= len(calls) <= most
+
+
+@pytest.mark.parametrize("argv", [
+    ["--formula", "q-step", "--q", "0.5", "--k", "2", "--t", "1"],
+    ["--formula", "q-step", "--q", "0.6", "--k", "2", "--t", "3"],
+    ["--formula", "q-product", "--q", "0.5", "--k", "1.5", "--t", "3",
+     "--bernoulli", "0.7"],
+    ["--formula", "q-product", "--q", "0.05", "--k", "3", "--t", "5"],
+], ids=["step-q0.5-t1", "step-q0.6-t3", "product-q0.5-k1.5", "product-q0.05"])
+def test_extreme_current_input_ends_in_a_row_or_a_message(tmp_path, argv):
+    out = tmp_path / "cur.csv"
+    with _deadline(5.0):
+        try:
+            code = main(["current"] + argv + ["--replicas", "16", "--seed",
+                                              "1", "--out", str(out)])
+        except SystemExit as exc:
+            assert isinstance(exc.code, str) and not out.exists()
+            return
+    assert code == 0
+    row = out.read_text().splitlines()[1].split(",")
+    assert all(math.isfinite(float(v)) for v in row[2:])
