@@ -795,7 +795,12 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     spec = spec_from_args(args)
     _check_spec(spec)
-    return _COMMANDS[spec.command](spec)
+    try:
+        return _COMMANDS[spec.command](spec)
+    except OverflowError:  # a Python float power such as q ** -n
+        raise SystemExit("a q-number or rate overflows a float at these "
+                         "arguments; raise --q toward 1 or lower --k or "
+                         "the occupancies") from None
 
 
 if __name__ == "__main__":

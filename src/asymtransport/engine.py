@@ -17,15 +17,15 @@ Each replica follows the one-replica array formulation (``rates.sum()``,
 NumPy's own float64 order and the pick uses sequential running sums, so
 its event times and jump choices do not depend on the block it runs in.
 
-A replica's random numbers come from its own stream in blocks of raw
-Philox words (``random_raw``), decoded by array arithmetic into exactly
-what ``standard_exponential()`` and ``random()`` would return.  This
-relies on two NumPy internals: ``random()`` is ``next_double``,
-``(w >> 11) * 2**-53`` of one word ``w``, and ``standard_exponential()``
-is the 256-layer ziggurat, whose tables ``_ziggurat`` ships and whose
-rare slow path is left to the replica's own Generator.  The tests derive
-the tables again from the installed NumPy and compare every replica's
-draws and final stream state with the per-call scalar loop.
+A replica's random numbers come from its own stream in blocks of
+``random()`` uniforms.  Each waiting time is Exp(1) by inversion,
+``-math.log1p(-u)`` of one uniform ``u``, scaled by ``1/total``: every
+draw is finite and at most 53 ln 2.  ``math.log1p`` is the C library's,
+as is the ``q ** x`` of the rate tables; NumPy's own ``log1p`` may take
+another implementation by CPU (SVML on AVX-512 hosts), which differs from
+it in the last bit for some uniforms and would make the output depend on
+the host.  The tests compare every replica's draws and final stream state
+with a per-call scalar loop.
 
 Reproducibility contract: every replica draws from its own counter-based
 stream keyed by (master seed, replica index), and ensemble reduction
@@ -39,15 +39,13 @@ import math
 
 import numpy as np
 
-from ._ziggurat import KE, WE
-
 __all__ = [
     "SeedTree", "TrajectoryLog", "simulate_ctmc", "simulate_batch",
     "run_ensemble", "q_moment_ensemble", "EnsembleResult",
 ]
 
 BATCH = 2048  # replicas that q_moment_ensemble advances in lockstep
-WORDS = 128  # raw Philox words buffered per live replica, two per step
+WORDS = 128  # uniforms buffered per live replica, two per step
 
 
 class SeedTree:
@@ -108,16 +106,12 @@ def simulate_batch(tables, eta0s, t_max, rngs, record_events=False):
     * the live replicas' edge rates form one array, entries 2e and
       2e + 1 of a row being the right and left rates of edge e; the
       totals are ``np.add.reduce`` along its rows;
-    * each step a replica draws ``standard_exponential()``, scaled by
-      ``1/total`` as ``exponential(1/total)`` scales it, and then
-      ``random()``, from its own stream.  Both are read from a buffer of
-      ``WORDS`` raw Philox words per replica (``random_raw``), two words
-      per step, decoded as NumPy decodes them: ``random()`` is
-      ``next_double``, ``(w >> 11) * 2**-53``, and an exponential is the
-      fast path of NumPy's 256-layer ziggurat (``_ziggurat``).  The rare
-      word that takes the ziggurat's slow path is drawn by the replica's
-      own Generator, moved to that word first, and the rest of the
-      buffer is refilled behind it;
+    * each step a replica draws two ``random()`` uniforms from its own
+      stream: the first makes its waiting time ``-math.log1p(-u)``,
+      scaled by ``1/total``, and the second picks the jump.  They are
+      read from a buffer of ``WORDS`` uniforms per replica, filled by one
+      ``random(WORDS)`` call, whose even columns are turned into
+      exponentials once per fill;
     * the jump is the number of running sums (``np.cumsum``, in order)
       below ``u = random() * total``, clamped to the last rate, as
       ``searchsorted(cumsum, u)`` picks it;
@@ -127,7 +121,7 @@ def simulate_batch(tables, eta0s, t_max, rngs, record_events=False):
 
     A replica whose total rate is 0 or whose clock passes ``t_max`` is
     compacted out of the live arrays, and its stream is put back to just
-    after the last word it used.  Replicas are independent, so an
+    after the last uniform it used.  Replicas are independent, so an
     ensemble split into blocks of any size gives the same bits.
 
     Parameters
@@ -182,24 +176,24 @@ def simulate_batch(tables, eta0s, t_max, rngs, record_events=False):
     steps = []  # one (replicas, times, picks) record per step
 
     def retire(stop, used):
-        # ``used`` words of the current buffer are spent
-        nonlocal live, eta, rates, t, total, draws, gens, marks
+        # ``used`` uniforms of the current buffer are spent
+        nonlocal live, eta, rates, t, total, draws, gens, states
         gone = live[stop]
         finals[gone] = eta[stop, 1:-1]
         n_events[gone] = step
         for i in np.flatnonzero(stop).tolist():
-            mark = next(m for m in reversed(marks[i]) if m[1] <= used)
-            _seek(gens[i].bit_generator, mark, used)
+            gens[i].bit_generator.state = states[i]
+            gens[i].random(used)
         keep = ~stop
         live, eta, rates, t, total, draws = (live[keep], eta[keep],
                                              rates[keep], t[keep],
                                              total[keep], draws[keep])
         kept = keep.tolist()
         gens = list(compress(gens, kept))
-        marks = list(compress(marks, kept))
+        states = list(compress(states, kept))
 
-    # step col of a buffer reads its words 2 col and 2 col + 1
-    marks, draws = _fill(gens)
+    # step col of a buffer reads its columns 2 col and 2 col + 1
+    states, draws = _fill(gens)
     col = 0
     while True:
         total = np.add.reduce(rates[:, 2:-2], axis=1)
@@ -239,58 +233,19 @@ def simulate_batch(tables, eta0s, t_max, rngs, record_events=False):
         step += 1
         col += 1
         if col == WORDS // 2:
-            marks, draws = _fill(gens)
+            states, draws = _fill(gens)
             col = 0
 
 
 def _fill(gens):
-    """The next ``WORDS`` draws of each stream as ``_decode`` reads them,
-    with every slow-path exponential drawn, and per stream the list of
-    ``(state, word)`` marks from which ``_seek`` reaches any of them."""
-    bgs = [g.bit_generator for g in gens]
-    marks = [[(bg.state, 0)] for bg in bgs]
-    draws = _decode(np.array([bg.random_raw(WORDS) for bg in bgs]))
-    # An exponential whose word takes the ziggurat's slow path may read
-    # further words.  The stream's own Generator draws it from that word
-    # on, and the rest of the row is refilled behind it, so that every
-    # row keeps two words per step.  A refill can bring slow words of
-    # its own, hence the rounds.
-    while True:
-        slow = draws[:, 0::2] < 0.0
-        rows = np.flatnonzero(slow.any(axis=1))
-        if not rows.size:
-            return marks, draws
-        at = 2 * slow[rows].argmax(axis=1)
-        tails = np.zeros((len(rows), WORDS), dtype=np.uint64)
-        for tail, i, a in zip(tails, rows.tolist(), at.tolist()):
-            gen, bg = gens[i], bgs[i]
-            _seek(bg, marks[i][-1], a)
-            draws[i, a] = gen.standard_exponential()
-            marks[i].append((bg.state, a + 1))
-            tail[a + 1:] = bg.random_raw(WORDS - a - 1)
-        behind = np.arange(WORDS) > at[:, None]
-        draws[rows] = np.where(behind, _decode(tails), draws[rows])
-
-
-def _decode(words):
-    """The draws ``standard_exponential()`` makes from the even raw words
-    and ``random()`` from the odd ones, as NumPy makes them from one word
-    each; an even word that takes the ziggurat's slow path reads -1."""
-    ri = words >> 11
-    layer = ((words >> 3) & 0xFF).astype(np.intp)
-    draws = ri * WE[layer]
-    draws[ri >= KE[layer]] = -1.0
-    draws[..., 1::2] = ri[..., 1::2] * 2.0 ** -53
-    return draws
-
-
-def _seek(bit_generator, mark, to):
-    """Move a stream to just before buffer word ``to`` from ``mark``, a
-    state of the stream and the buffer word it stands before."""
-    state, at = mark
-    bit_generator.state = state
-    if to > at:
-        bit_generator.random_raw(to - at)
+    """Each stream's state, and its next ``WORDS`` uniforms with the even
+    columns turned into exponentials, ``-math.log1p(-u)``."""
+    states = [g.bit_generator.state for g in gens]
+    draws = np.array([g.random(WORDS) for g in gens])
+    even = draws[:, 0::2]
+    logs = map(math.log1p, (-even).ravel().tolist())
+    even[...] = -np.fromiter(logs, float, even.size).reshape(even.shape)
+    return states, draws
 
 
 def _event_lists(steps, n_events):

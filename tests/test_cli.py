@@ -367,6 +367,13 @@ def test_current_bad_monte_carlo_input_rejected(tmp_path, formula, bad):
     ["verify", "--suite", "duality", "--sigma", "0"],
     ["verify", "--suite", "duality", "--sigma", "1e-300"],
     ["verify", "--suite", "thermal", "--sigma", "1e300"],
+    # q ** -n past the float range inside q_number
+    ["current", "--formula", "q-step", "--q", "0.5", "--k", "600", "--t", "1"],
+    ["rate", "--model", "asip", "--q", "0.5", "--k", "600"],
+    ["simulate", "--model", "asip", "--q", "0.5", "--k", "600", "--t", "1",
+     "--L", "3", "--n", "2"],
+    ["simulate", "--model", "asip", "--q", "0.1", "--init", "400,0,0",
+     "--t", "0.01"],
 ])
 def test_bad_sampler_and_simulate_input_rejected(tmp_path, argv):
     out = tmp_path / "out.csv"

@@ -3,12 +3,13 @@ reproducibility contract, and the event logs."""
 
 from bisect import bisect_left
 from itertools import accumulate, cycle
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import linalg
+from scipy import linalg, stats
 
 from asymtransport import configspace as cs
 from asymtransport import engine, models
@@ -70,7 +71,8 @@ def _ref_simulate_ctmc(tables, eta0, t_max, rng):
     the part still valid.  The total rate is summed in NumPy's float64
     order (``_pairwise_sum``) and the jump is the first rate whose running
     sum reaches ``u = U * total``, clamped to the last rate, exactly as
-    ``searchsorted(cumsum, u)`` picks it.
+    ``searchsorted(cumsum, u)`` picks it.  Each waiting time is
+    ``-math.log1p(-U)`` of one uniform, times ``1/total``.
     """
     table_r, table_l = tables
     initial = np.asarray(eta0, dtype=int).copy()
@@ -96,13 +98,13 @@ def _ref_simulate_ctmc(tables, eta0, t_max, rng):
     cums = [0.0] * (n + 1)
     valid = 0
     log = engine.TrajectoryLog(initial=initial, t_final=t_max)
-    exponential, random = rng.exponential, rng.random
+    random, log1p = rng.random, math.log1p
     t = 0.0
     while True:
         total = _pairwise_sum(rates)
         if total <= 0.0:
             break
-        t += exponential(1.0 / total)
+        t += -log1p(-random()) * (1.0 / total)
         if t > t_max:
             break
         u = random() * total
@@ -456,65 +458,7 @@ def test_batch_matches_scalar_on_random_chains(data, L, replicas, model, q,
     assert run(_batch_runs) == run(_scalar_runs)
 
 
-# ------------------------------------------------- raw Philox words
-
-def _draw_from_word(bit_generator, base, w):
-    """``standard_exponential()`` of a stream whose next raw words are
-    ``w, 0, 0``, and the number of words it took."""
-    state = dict(base)
-    state["buffer"] = np.array([w, 0, 0, 0], dtype=np.uint64)
-    state["buffer_pos"] = 0
-    bit_generator.state = state
-    x = np.random.Generator(bit_generator).standard_exponential()
-    return x, bit_generator.state["buffer_pos"]
-
-
-def test_ziggurat_tables_match_installed_numpy():
-    # A word w gives ri = w >> 11 and the layer (w >> 3) & 0xFF.  WE is
-    # the draw at ri = 1; KE is the first ri whose draw reads a second
-    # word (the slow path), found by bisection.  The second word 0 makes
-    # a slow draw stop after at most three words, so it never reaches
-    # a freshly generated Philox block.
-    bit_generator = np.random.Philox(key=np.array([0, 0], dtype=np.uint64))
-    base = bit_generator.state
-    ke, we = [], []
-    for layer in range(256):
-        lo, hi = 0, 2 ** 53
-        while lo < hi:
-            mid = (lo + hi) // 2
-            _, used = _draw_from_word(bit_generator, base,
-                                      (mid << 11) | (layer << 3))
-            lo, hi = (mid + 1, hi) if used == 1 else (lo, mid)
-        ke.append(lo)
-        we.append(_draw_from_word(bit_generator, base,
-                                  (1 << 11) | (layer << 3))[0])
-    assert ke[1] == 0  # layer 1 always takes the slow path
-    assert np.array_equal(engine.KE, np.array(ke, dtype=np.uint64))
-    assert np.array_equal(engine.WE, np.array(we))
-
-
-def _words_used(rng):
-    """Raw words a freshly keyed Philox stream has handed out, plus 4."""
-    s = rng.bit_generator.state
-    return 4 * int(s["state"]["counter"][0]) + s["buffer_pos"]
-
-
-class _SlowTally:
-    """Stands in for a Generator in ``_ref_simulate_ctmc`` and notes, per
-    exponential, whether it took NumPy's slow path (more than one word)."""
-
-    def __init__(self, rng):
-        self.rng, self.slow = rng, []
-
-    def exponential(self, scale):
-        before = _words_used(self.rng)
-        x = self.rng.exponential(scale)
-        self.slow.append(_words_used(self.rng) - before > 1)
-        return x
-
-    def random(self):
-        return self.rng.random()
-
+# ------------------------------------------------- uniform buffers
 
 @pytest.mark.parametrize("words", [2, 6, engine.WORDS])
 def test_batch_matches_scalar_across_buffer_refills(monkeypatch, words):
@@ -533,27 +477,19 @@ def test_batch_matches_scalar_across_buffer_refills(monkeypatch, words):
         assert max(n for _, n, _, _ in ref) > 3 * engine.WORDS // 2
 
 
-@pytest.mark.parametrize("words", [2, engine.WORDS])
-@pytest.mark.parametrize("where", ["last jump", "past t_max"])
-def test_batch_slow_path_exponential_at_the_end(monkeypatch, words, where):
-    # The first replica of seed 3 whose exponential k >= 1 takes the slow
-    # path: a horizon between the times of events k and k + 1 makes it
-    # the draw of the last jump, one between events k - 1 and k the draw
-    # that passes t_max.  Either way the replica retires soon after, and
-    # its stream must end where the scalar loop leaves it.
-    monkeypatch.setattr(engine, "WORDS", words)
-    tables, init = _current_case("q-step", 16)
-    tree = engine.SeedTree(3)
-    for r in range(200):
-        tally = _SlowTally(tree.stream(r))
-        times = [ev[0] for ev in
-                 _ref_simulate_ctmc(tables, init(None), 5.0, tally).events]
-        slow = [k for k in range(1, len(times) - 1) if tally.slow[k]]
-        if slow:
-            break
-    k = slow[0]
-    lo, hi = (k, k + 1) if where == "last jump" else (k - 1, k)
-    t_max = 0.5 * (times[lo] + times[hi])
-    ref = _scalar_runs(tables, init, t_max, r + 1, 3)
-    assert ref[r][1] == hi
-    assert _batch_runs(tables, init, t_max, r + 1, 3) == ref
+def test_waiting_times_are_exponential_by_inversion():
+    # One particle on two sites hops right at rate 2 and is then stuck, so
+    # each replica makes one event at time e / 2, e = -log1p(-u) of its
+    # first uniform.  The inversion of a uniform below 1 is at most
+    # -log(2**-53) = 53 ln 2, and the scaling by 1/2 is exact.
+    tables = (np.array([[0.0, 0.0], [2.0, 0.0]]), np.zeros((2, 2)))
+    tree = engine.SeedTree(2016)
+    rngs = [tree.stream(r) for r in range(10_000)]
+    finals, n_events, events = engine.simulate_batch(
+        tables, [[1, 0]] * len(rngs), 20.0, rngs, record_events=True)
+    assert (n_events == 1).all() and (finals == [0, 1]).all()
+    scaled = np.array([ev[0][0] for ev in events]) * 2.0
+    assert np.isfinite(scaled).all()
+    assert scaled.min() >= 0.0 and scaled.max() <= 53 * math.log(2)
+    assert stats.kstest(scaled, "expon").pvalue > 0.01
+
