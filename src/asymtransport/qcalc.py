@@ -46,10 +46,18 @@ def q_number(n, q):
     float
         ``(q**n - q**-n) / (q - 1/q)``, which is invariant under
         ``q -> 1/q`` and reduces to n as q -> 1.
+
+    Above ``q = 0.999`` both differences cancel more than three digits
+    (at the last float below 1 they give ``[1] = 1/3``), so there the
+    same value is taken as ``sinh(n s) / sinh(s)`` with ``s = -ln q``,
+    which keeps full precision up to q = 1.
     """
     q = check_q(q)
     if q == 1.0:
         return float(n)
+    if q > 0.999:
+        s = -math.log(q)
+        return math.sinh(n * s) / math.sinh(s)
     return (q ** n - q ** (-n)) / (q - 1.0 / q)
 
 

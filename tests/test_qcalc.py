@@ -61,6 +61,17 @@ def test_q_number_alternate_form(n, q):
     assert qcalc.q_number(n, q) == pytest.approx(ref, rel=1e-12)
 
 
+@pytest.mark.parametrize("q", [0.9990000001, 0.9995, 1 - 1e-8,
+                               math.nextafter(1.0, 0.0)])
+def test_q_number_near_q_one_against_mpmath(q):
+    # the naive difference cancels to [1] = 1/3 at the last float below 1
+    for n in (0.5, 1, 3, 7.5, 40):
+        with mpmath.workdps(40):
+            Q = mpmath.mpf(q)
+            ref = float((Q ** n - Q ** -n) / (Q - 1 / Q))
+        assert qcalc.q_number(n, q) == pytest.approx(ref, rel=1e-14)
+
+
 @given(st.integers(min_value=0, max_value=12),
        st.integers(min_value=0, max_value=12), QS)
 @settings(max_examples=200, deadline=None)
