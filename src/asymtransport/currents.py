@@ -244,12 +244,15 @@ def abep_moment_fixed(x_window, window_start, bond, t, k, sigma):
     walker tail per window site.
     """
     x = np.asarray(x_window, dtype=float)
-    energies = np.concatenate([np.cumsum(x[::-1])[::-1], [0.0]])  # E_n
-    e_bond = energies[min(max(bond - window_start, 0), len(x))]
+    b = min(max(bond - window_start, 0), len(x))
+    # E_n - E_bond summed outward from the bond, not as a difference of
+    # two tails that may both be large
+    excess = np.concatenate([np.cumsum(x[:b][::-1])[::-1], [0.0],
+                             -np.cumsum(x[b:])])
     reach = _walker_tail(window_start + 1 - bond + np.arange(len(x)),
                          2.0 * k * t, 2.0 * k * t)
     with np.errstate(over="ignore", invalid="ignore"):
-        f = np.exp(-2.0 * sigma * (energies - e_bond))
+        f = np.exp(-2.0 * sigma * excess)
         out = float(f[0] + np.dot(np.diff(f), reach))
     if not math.isfinite(out):
         raise ValueError("E[e^(-2 sigma J)] overflows a float")

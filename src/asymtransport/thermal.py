@@ -11,7 +11,11 @@ law conditioned on the edge total:
   v = (e^(a w) - 1) / (e^a - 1) ~ Beta(2k, 2k); at k = 1/2 and vanishing
   tilt this is the classical uniform energy redistribution model.
 
-Each edge carries an exponential rate-1 clock.
+Each edge carries an exponential rate-1 clock.  The continuous dynamics,
+:func:`simulate_thermal_continuous`, draw their random numbers ahead of
+the state, ``BLOCK`` events at a time (clock gaps, edges, Beta
+coordinates), and run the updates on Python floats; their trajectories
+for a given stream changed on purpose when the draws moved into blocks.
 
 ``scipy.integrate`` is imported inside :func:`tilted_beta_mean`, the only
 function here that integrates: it costs start-up time and is not on a
@@ -84,6 +88,7 @@ def sample_qbetabinom(n_tot, q, k, rng, size=None, weights=None):
         else np.searchsorted(cdf, u)
 
 
+BLOCK = 256  # events whose random numbers the dynamics draw at once
 _TILT_SMALL = 1e-8
 # largest tilt a = 2 sigma E for which e^a is a finite float
 MAX_TILT = math.log(sys.float_info.max)
@@ -106,6 +111,12 @@ def _beta_coordinate(w, a):
     return (np.expm1(a * w) / math.expm1(a),
             np.expm1(-a * (1.0 - w)) / math.expm1(-a),
             a * np.exp(-a * (1.0 - w)) / -math.expm1(-a))
+
+
+def _beta_quantile(u, k):
+    """The Beta(2k, 2k) quantile of the uniform(s) u: u itself at k = 1/2,
+    where the law is uniform."""
+    return u if abs(k - 0.5) < 1e-14 else special.betaincinv(2 * k, 2 * k, u)
 
 
 def _fraction_of_beta(v, a):
@@ -152,9 +163,7 @@ def sample_tilted_beta(E, sigma, k, rng, size=None):
     near 1, 2k < 1) can round it one ulp above.
     """
     a = _tilt(E, sigma)
-    u = rng.random(size)
-    v = u if abs(k - 0.5) < 1e-14 else special.betaincinv(2 * k, 2 * k, u)
-    w = _fraction_of_beta(v, a)
+    w = _fraction_of_beta(_beta_quantile(rng.random(size), k), a)
     if size is None:
         return float(w) if w <= 1.0 else 1.0
     return np.minimum(w, 1.0)
@@ -178,22 +187,47 @@ def th_asip_generator(sector, params):
 
 
 def simulate_thermal_continuous(x0, t_max, params, rng):
-    """Continuous-time thermal dynamics: each edge updates at rate 1.
+    """Continuous-time thermal dynamics on the chain x0: each of the L - 1
+    edges updates at rate 1, resampling its split from the tilted-Beta law.
 
-    Returns (final config, events) with events a list of
-    (time, edge, w) records.
+    Returns (final config, events) with events a list of (time, edge, w)
+    records, w the fraction of the edge energy kept by its left site.
+
+    The random numbers do not depend on the state, so they are drawn
+    ahead in blocks of ``BLOCK`` = 256 events from ``rng``, in this order:
+    ``exponential(1 / n_edges, BLOCK)`` gaps of the Poisson clock,
+    ``integers(1, n_edges + 1, BLOCK)`` edges and ``random(BLOCK)``
+    uniforms, turned into Beta(2k, 2k) coordinates by one
+    ``betaincinv`` call per block.  Every draw is exact.  The stream is
+    left after the last block drawn, not after the last event used.  An
+    edge with no energy is skipped (its draws are spent); an edge whose
+    tilt ``2 sigma E`` passes ``MAX_TILT`` raises ValueError.  The
+    trajectory of a given stream differs from that of the earlier
+    one-event-at-a-time loop, which drew the same laws in another order.
+
+    The state is updated on Python floats with the C library's
+    ``math.log1p`` and ``math.expm1`` (see ``engine`` on NumPy's SVML
+    variants).
     """
-    x = np.asarray(x0, dtype=float).copy()
+    x = np.asarray(x0, dtype=float).tolist()
     n_edges = len(x) - 1
+    if n_edges < 1:
+        raise ValueError("need L >= 2 sites, got %d" % len(x))
+    sigma, k = params.sigma, params.k
     t = 0.0
     events = []
     while True:
-        t += rng.exponential(1.0 / n_edges)
-        if t > t_max:
-            return x, events
-        edge = int(rng.integers(1, n_edges + 1))
-        E = x[edge - 1] + x[edge]
-        if E > 0:
-            w = sample_tilted_beta(E, params.sigma, params.k, rng)
-            x[edge - 1], x[edge] = w * E, (1.0 - w) * E
-            events.append((t, edge, w))
+        gaps = rng.exponential(1.0 / n_edges, BLOCK).tolist()
+        edges = rng.integers(1, n_edges + 1, BLOCK).tolist()
+        betas = _beta_quantile(rng.random(BLOCK), k).tolist()
+        for gap, edge, v in zip(gaps, edges, betas):
+            t += gap
+            if t > t_max:
+                return np.array(x), events
+            E = x[edge - 1] + x[edge]
+            if E > 0:
+                a = _tilt(E, sigma)
+                w = v if a < _TILT_SMALL else \
+                    min(math.log1p(v * math.expm1(a)) / a, 1.0)
+                x[edge - 1], x[edge] = w * E, (1.0 - w) * E
+                events.append((t, edge, w))

@@ -314,6 +314,10 @@ REFERENCE_POINTS = [
      (np.full(160, 1.0), -80, 0, 1.0, 0.5, 0.5), 1e-13),
     (cur.abep_moment_fixed, _ref_abep_fixed,
      (np.array([1.0, 0.5, 2.0, 0.0, 3.0]), -2, 1, 0.8, 0.75, 0.4), 1e-13),
+    # the homogeneous profile of test_continuous_fixed_window_homogeneous:
+    # E_n and E_bond are both near 140 there
+    (cur.abep_moment_fixed, _ref_abep_fixed,
+     (np.full(400, 0.7), -200, 0, 1.3, 0.5, 1.0), 1e-13),
     # strongly asymmetric walkers; the q-step moments there read 1
     (_step, _ref_q_step, (0.5, 2.0, 3.0), 1e-12),
     (_step, _ref_q_step, (0.5, 2.0, 1.0), 1e-12),

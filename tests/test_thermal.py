@@ -322,11 +322,24 @@ def test_sampler_ks_against_exact_cdf(k, a):
 
 
 class _TopUniform:
-    """A stream stand-in that always returns the largest uniform below 1."""
+    """A stream stand-in that always returns the largest uniform below 1.
+
+    For the dynamics it also returns every waiting time equal to its mean
+    and the edges ``edges`` over and over from the start of each block.
+    """
+
+    def __init__(self, edges=(1,)):
+        self.edges = edges
 
     def random(self, size=None):
         top = 1.0 - 2.0 ** -53
         return top if size is None else np.full(size, top)
+
+    def exponential(self, scale, size):
+        return np.full(size, scale)
+
+    def integers(self, low, high, size):
+        return np.resize(np.array(self.edges), size)
 
 
 def test_draws_never_leave_the_unit_interval_at_the_top_quantile():
@@ -337,6 +350,35 @@ def test_draws_never_leave_the_unit_interval_at_the_top_quantile():
             <= 1.0
         assert (thermal.sample_tilted_beta(a / 2.0, 1.0, 0.3, _TopUniform(),
                                            size=2) <= 1.0).all()
+
+
+def test_dynamics_keep_w_in_the_unit_interval_at_the_top_quantile():
+    # the loop's own push-forward caps w at 1 where log1p(expm1(a)) / a
+    # rounds above it; the Beta quantile of the top uniform is 1.0 at 2k < 1
+    tilts = [a for a in np.geomspace(1e-6, 700.0, 3000).tolist()
+             if a >= thermal._TILT_SMALL
+             and math.log1p(math.expm1(a)) / a > 1.0]
+    assert tilts
+    for a in tilts:
+        p = ModelParams(q=1.0, k=0.3, sigma=1.0, L=2)
+        x, events = thermal.simulate_thermal_continuous(
+            [a / 2.0, 0.0], 2.5, p, _TopUniform())
+        assert [w for _, _, w in events] == [1.0, 1.0]
+        assert x.tolist() == [a / 2.0, 0.0]
+
+
+def test_dynamics_raise_when_a_tilt_passes_the_float_range():
+    # every edge of the initial chain is below MAX_TILT; the first update
+    # moves edge 2's energy left, and edge 1 then carries 2 sigma E = 1200
+    p = ModelParams(q=1.0, k=0.5, sigma=1.0, L=3)
+    assert 2.0 * 300.0 < thermal.MAX_TILT < 2.0 * 600.0
+    with pytest.raises(ValueError, match="overflows"):
+        thermal.simulate_thermal_continuous([300.0, 0.0, 300.0], 10.0, p,
+                                            _TopUniform(edges=(2, 1)))
+    x, events = thermal.simulate_thermal_continuous(
+        [300.0, 0.0, 300.0], 0.75, p, _TopUniform(edges=(2, 1)))
+    assert [e for _, e, _ in events] == [2] and x.tolist() == [300.0,
+                                                               300.0, 0.0]
 
 
 def test_large_tilt_rejected_and_largest_finite_tilt_sampled():
@@ -370,3 +412,65 @@ def test_thermal_updates_keep_no_per_tilt_state():
         tracemalloc.stop()
     assert n_updates >= 1200
     assert kept < 1 << 20
+
+
+# ------------------------------------------ block-drawn thermal dynamics
+
+@pytest.mark.parametrize("k", [0.5, 0.75, 1.5])
+def test_two_site_dynamics_draw_exact_splits_and_clock(k):
+    # at L = 2 the edge total is conserved, so each kept fraction is an
+    # independent tilted-Beta draw at that total and each gap is Exp(1);
+    # the run spans many blocks of draws
+    E, sigma = 2.0, 0.5
+    p = ModelParams(q=1.0, k=k, sigma=sigma, L=2)
+    x, events = thermal.simulate_thermal_continuous(
+        [1.5, 0.5], 4000.0, p, engine.SeedTree(60).stream(int(4 * k)))
+    assert len(events) > 10 * thermal.BLOCK
+    assert math.fsum(x) == pytest.approx(E, rel=1e-12)
+    times, edges, w = (np.array(c) for c in zip(*events))
+    assert (edges == 1).all() and ((w >= 0.0) & (w <= 1.0)).all()
+    ks = stats.kstest(w, lambda v: thermal.tilted_beta_cdf(v, E, sigma, k))
+    assert ks.pvalue > 1e-3
+    gaps = np.diff(times, prepend=0.0)
+    assert stats.kstest(gaps, "expon").pvalue > 1e-3
+
+
+def test_dynamics_pick_edges_uniformly_at_rate_one_each():
+    # L = 5: four edges, each rung at rate 1, so the gaps times 4 are Exp(1)
+    p = ModelParams(q=1.0, k=0.75, sigma=0.5, L=5)
+    _, events = thermal.simulate_thermal_continuous(
+        [1.0, 0.3, 2.0, 0.7, 1.1], 1500.0, p, engine.SeedTree(61).stream(0))
+    assert len(events) > 10 * thermal.BLOCK
+    times, edges, _ = (np.array(c) for c in zip(*events))
+    counts = np.bincount(edges, minlength=5)
+    assert counts[0] == 0
+    assert stats.chisquare(counts[1:]).pvalue > 1e-3
+    gaps = 4.0 * np.diff(times, prepend=0.0)
+    assert stats.kstest(gaps, "expon").pvalue > 1e-3
+
+
+def test_dynamics_without_time_or_energy_leave_the_chain_alone():
+    p = ModelParams(q=1.0, k=0.75, sigma=0.5, L=4)
+    for x0, t_max in ((np.array([1.0, 0.0, 2.0, 0.5]), 0.0),
+                      (np.zeros(4), 50.0)):
+        x, events = thermal.simulate_thermal_continuous(
+            x0, t_max, p, engine.SeedTree(62).stream(0))
+        assert events == []
+        assert x.tobytes() == x0.tobytes()
+
+
+def test_dynamics_repeat_bit_for_bit_for_one_stream():
+    p = ModelParams(q=1.0, k=1.5, sigma=0.5, L=6)
+    x0 = [0.4, 1.0, 0.0, 2.5, 0.3, 0.9]
+    runs = [thermal.simulate_thermal_continuous(
+        x0, 200.0, p, engine.SeedTree(63).stream(2)) for _ in range(2)]
+    assert runs[0][0].tobytes() == runs[1][0].tobytes()
+    assert runs[0][1] == runs[1][1]
+
+
+@pytest.mark.parametrize("x0", [[], [1.0]])
+def test_dynamics_need_two_sites(x0):
+    p = ModelParams(q=1.0, k=0.5, sigma=0.5)
+    with pytest.raises(ValueError, match="need L >= 2"):
+        thermal.simulate_thermal_continuous(x0, 1.0, p,
+                                            engine.SeedTree(64).stream(0))
