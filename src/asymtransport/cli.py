@@ -9,6 +9,7 @@ byte-identical outputs for any worker count.
 
 import argparse
 import configparser
+import functools
 import math
 import os
 import sys
@@ -791,8 +792,14 @@ def spec_from_args(args):
     return spec
 
 
+@functools.cache
+def _parser():
+    # parsing leaves the parser as it was, so one serves every main call
+    return build_parser()
+
+
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     spec = spec_from_args(args)
     _check_spec(spec)
     try:

@@ -40,16 +40,50 @@ __all__ = [
 
 class SparseRateMatrix:
     """CTMC generator on an enumerated sector: rows sum to zero, off-diagonal
-    entries are the nonnegative transition rates."""
+    entries are the nonnegative transition rates.
+
+    ``matrix`` is a canonical CSR matrix: columns sorted within each row,
+    duplicate (row, col) moves summed, no stored zeros (so a row with no
+    moves, such as the single state of N = 0, stores nothing).  It is
+    assembled directly from the sorted triples, bit for bit the matrix
+    that ``csr_matrix`` with ``sum_duplicates``, ``sum(axis=1)`` and ``+
+    diags`` builds: a row's diagonal is minus the ``np.add.reduceat`` of
+    its column-sorted entries that scipy's row sum calls, and the
+    duplicates of a pair (two moves, on L = 2 rings) are summed in the
+    order given.
+    """
 
     def __init__(self, dimension, rows, cols, rates):
         rates = np.asarray(rates, dtype=float)
         if (rates < 0).any():
             raise ValueError("negative off-diagonal rate")
-        off = sparse.csr_matrix((rates, (rows, cols)), shape=(dimension, dimension))
-        off.sum_duplicates()
-        diag = -np.asarray(off.sum(axis=1)).ravel()
-        self.matrix = (off + sparse.diags(diag)).tocsr()
+        # entry (row, col) as the key row * dimension + col; the stable
+        # sort keeps the two moves of a duplicate pair in the order given
+        key = np.asarray(rows, dtype=np.intp) * dimension \
+            + np.asarray(cols, dtype=np.intp)
+        order = np.argsort(key, kind="stable")
+        key, rates = key[order], rates[order]
+        if (key[1:] == key[:-1]).any():  # duplicate moves, on L = 2 rings
+            first = np.flatnonzero(np.diff(key, prepend=-1))
+            key, rates = key[first], np.add.reduceat(rates, first)
+        counts = np.bincount(key // dimension, minlength=dimension)
+        busy = np.flatnonzero(counts)
+        diag = -np.add.reduceat(rates, (np.cumsum(counts) - counts)[busy])
+        # the diagonal joins its row in column order (a stable sort of
+        # two sorted runs is one merge); scipy's + dropped every zero sum,
+        # explicit zero rates included
+        key = np.concatenate([key, busy * (dimension + 1)])
+        data = np.concatenate([rates, diag])
+        order = np.argsort(key, kind="stable")
+        key, data = key[order], data[order]
+        if not data.all():
+            key, data = key[data != 0], data[data != 0]
+        index = np.int32 if max(dimension, len(key)) < 2 ** 31 else np.int64
+        self.matrix = sparse.csr_matrix(
+            (data, (key % dimension).astype(index),
+             np.searchsorted(key, np.arange(dimension + 1) * dimension)
+             .astype(index)),
+            shape=(dimension, dimension))
         self.dimension = dimension
 
     def toarray(self):

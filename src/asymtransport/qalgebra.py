@@ -25,13 +25,15 @@ factor; identities are exact on any particle-number sector whose total
 fits strictly inside the truncation.
 
 The Hamiltonian and the explicit operators of steps 3 and 4 are
-assembled in place from small tables, without full-size Kronecker
-products, by viewing a matrix as (sites before i, site i, sites after i)
-on both axes.  The Hamiltonian adds each edge's two-site matrix into the
-strided view of the blocks where the other sites keep their
-occupations.  The explicit operators factor over sites: each element is
-a product, in site order, of per-site factors looked up in small tables,
-and each factor is one in-place broadcast multiply.  Keeping the
+assembled from small tables by broadcasting, without Kronecker products
+of full-size operators.  The Hamiltonian views a matrix as (sites before
+i, site i, sites after i) on both axes and adds each edge's two-site
+matrix into the strided view of the blocks where the other sites keep
+their occupations.  The explicit operators factor over sites: each
+element is a product, in site order, of per-site factors looked up in
+small tables.  The ground state takes each factor as one in-place
+broadcast multiply; the exponential symmetry grows one site at a time,
+the matrix over the earlier sites times the site's tables.  Keeping the
 formulas' order of sums and products fixes every bit of the result.  The
 global symmetries and the deformed exponential series, which only serve
 as checks, are still Kronecker products.  Nothing here uses
@@ -270,15 +272,15 @@ def splus_closed_form(L, k, q, n_max):
     Each element is a product of two factors per site, taken in site
     order.  The root factor depends on (eta_i, xi_i) only and comes from
     one (n_max+1)^2 table shared by all sites; the power factor of site i
-    also depends on the running sum over the column's earlier sites and
-    comes from an (n_max+1, (n_max+1)^L) table indexed by (eta_i,
-    column).  With the matrix viewed as (sites before i, site i, sites
-    after i) along both axes, each factor is one in-place broadcast
-    multiply.
+    also depends on the running sum over the column's earlier sites.  So
+    the product over sites 1..i is a (d^i, d^i) matrix of d = n_max + 1
+    per axis, built site by site: the Kronecker product of the previous
+    one with the root table times the power table of site i, indexed by
+    (eta_i, xi_1..xi_i).  That is the same products in the same order as
+    the per-entry formula, and the full-size matrix is written once and
+    multiplied once.
     """
     d = n_max + 1
-    dim = d ** L
-    xi = basis_occupations(L, n_max)
     eta_i = np.arange(d)[:, None]
     root = np.zeros((d, d))
     for e in range(d):
@@ -286,19 +288,23 @@ def splus_closed_form(L, k, q, n_max):
             l = e - x
             root[e, x] = math.sqrt(q_binomial(e, l, q)
                                    * q_binomial(e + 2 * k - 1, l, q))
-    out = np.ones((dim, dim))
-    acc = np.zeros(dim)  # sum of (xi_m + k) over m < i, per column
+    out = np.ones((1, 1))
+    acc = np.zeros(1)  # sum of (xi_m + k) over m < i, per column
     for i0 in range(L):
-        x = xi[:, i0]
+        before = d ** i0
+        # xi_i and the running sum of the columns (xi_1..xi_i)
+        x = np.tile(np.arange(d), before)
+        acc = np.repeat(acc, d)
         l = eta_i - x
         power = qcalc.q_power(
             q, np.where(l >= 0, l * (1 + k + x + 2 * acc), 0.0))
-        before, after = d ** i0, d ** (L - i0 - 1)
-        sites = out.reshape(before, d, after, before, d, after)
-        sites *= root[:, None, None, :, None]
-        rows = out.reshape(before, d, after, dim)
-        rows *= power[:, None, :]
-        acc += x + k
+        prefix = out
+        out = np.empty((before * d, before * d))
+        np.multiply(prefix[:, None, :, None], root[:, None, :],
+                    out=out.reshape(before, d, before, d))
+        rows = out.reshape(before, d, before * d)
+        rows *= power
+        acc = acc + (x + k)
     return out
 
 

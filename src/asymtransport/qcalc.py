@@ -67,10 +67,13 @@ def q_power(q, exponents):
 
     Each entry is the scalar float power, so a table built here matches
     scalar code bit for bit; NumPy's array ``power`` can differ from it in
-    the last bit.
+    the last bit.  The power is taken once per distinct exponent and
+    gathered back, since tables repeat a few exponents many times.
     """
     e = np.asarray(exponents, dtype=float)
-    return np.array([q ** v for v in e.ravel().tolist()]).reshape(e.shape)
+    values, inverse = np.unique(e.ravel(), return_inverse=True)
+    powers = np.array([q ** v for v in values.tolist()], dtype=float)
+    return powers[inverse].reshape(e.shape)
 
 
 def q_binomial(n, m, q):

@@ -1,6 +1,7 @@
 """Command line interface: config round trips, CSV formats, determinism,
 fault injection and input validation."""
 
+import json
 import os
 import subprocess
 import sys
@@ -525,3 +526,56 @@ def test_import_leaves_slow_scipy_parts_unloaded():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == []
+
+
+# main builds its parser once per process; these runs must read the same
+# in one process, in this order, as each does in a fresh one
+PARSER_RUNS = [
+    ["verify", "--suite", "limits", "--out"],
+    ["current", "--formula", "nope"],          # argparse exits with 2
+    ["--help"],
+    ["simulate", "--model", "asip", "--L", "3", "--n", "2", "--t", "1",
+     "--replicas", "2", "--seed", "1", "--out"],
+]
+
+_RUN_MAINS = """
+import contextlib, io, json, os, sys
+from asymtransport.cli import main
+results = []
+for i, argv in enumerate(json.loads(sys.argv[1])):
+    out = os.path.join(sys.argv[2], "out%d" % i)
+    if argv[-1] == "--out":
+        argv = argv + [out]
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    text = open(out).read() if os.path.exists(out) else None
+    results.append([code, stdout.getvalue(), stderr.getvalue(), text])
+print(json.dumps(results))
+"""
+
+
+def _run_mains(runs, tmp_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (os.path.join(ROOT, "src"), env.get("PYTHONPATH")) if p)
+    tmp_path.mkdir()
+    proc = subprocess.run(
+        [sys.executable, "-c", _RUN_MAINS, json.dumps(runs), str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def test_parser_built_once_gives_the_output_of_a_fresh_one(tmp_path):
+    together = _run_mains(PARSER_RUNS, tmp_path / "together")
+    assert [code for code, *_ in together] == [0, 2, 0, 0]
+    assert "invalid choice" in together[1][2]
+    assert together[2][1].startswith("usage: asymtransport")
+    assert together[0][3] and together[3][3]
+    for i, argv in enumerate(PARSER_RUNS):
+        fresh = _run_mains([argv], tmp_path / ("fresh%d" % i))
+        assert fresh == [together[i]], argv

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import linalg
+from scipy import linalg, sparse
 from scipy.integrate import solve_ivp
 
 from asymtransport import configspace as cs
@@ -439,6 +439,80 @@ def test_generator_matches_per_entry_loop_bit_for_bit(model, boundary):
                     a, b = getattr(new, name), getattr(ref, name)
                     assert a.dtype == b.dtype
                     assert a.tobytes() == b.tobytes(), (L, N, q, k, name)
+
+
+# Reference: the five scipy passes that built every generator before the
+# direct CSR assembly (COO to CSR, sum_duplicates, row sums, + diags,
+# tocsr); the new build must give the same CSR arrays byte for byte.
+
+def _ref_sparse_rate_matrix(dimension, rows, cols, rates):
+    rates = np.asarray(rates, dtype=float)
+    off = sparse.csr_matrix((rates, (rows, cols)),
+                            shape=(dimension, dimension))
+    off.sum_duplicates()
+    diag = -np.asarray(off.sum(axis=1)).ravel()
+    return (off + sparse.diags(diag)).tocsr()
+
+
+def _assert_same_csr(new, ref, where):
+    for name in ("indptr", "indices", "data"):
+        a, b = getattr(new, name), getattr(ref, name)
+        assert a.dtype == b.dtype, (where, name)
+        assert a.tobytes() == b.tobytes(), (where, name)
+
+
+@pytest.mark.parametrize("boundary", ["closed", "periodic"])
+@pytest.mark.parametrize("model", ["asip", "sip", "qtazrp", "th_asip"])
+def test_sparse_rate_matrix_matches_scipy_passes_bit_for_bit(
+        model, boundary, monkeypatch):
+    triples = []
+
+    class Recording(models.SparseRateMatrix):
+        def __init__(self, *args):
+            triples.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(models, "SparseRateMatrix", Recording)
+    rng = np.random.default_rng(7)
+    for L in range(2, 7):
+        for N in range(0, 7):
+            sec = cs.enumerate_sector(L, N)
+            for q, k in ((0.8, 0.5), (0.55, 1.5), (1.0, 0.75)):
+                p = ModelParams(q=q, k=k, L=L, boundary=boundary)
+                triples.clear()
+                new = models.build_generator(sec, model, p).matrix
+                dim, rows, cols, rates = triples[0]
+                where = (L, N, q, k)
+                _assert_same_csr(
+                    new, _ref_sparse_rate_matrix(dim, rows, cols, rates),
+                    where)
+                shuffle = rng.permutation(len(rows))
+                _assert_same_csr(
+                    Recording(dim, rows[shuffle], cols[shuffle],
+                              rates[shuffle]).matrix,
+                    _ref_sparse_rate_matrix(dim, rows[shuffle],
+                                            cols[shuffle], rates[shuffle]),
+                    where + ("shuffled",))
+
+
+def test_sparse_rate_matrix_drops_zero_rates_and_sums_pairs_like_scipy():
+    # explicit zero rates, duplicate pairs and rows with no moves, as
+    # neither generator builder makes them
+    rng = np.random.default_rng(3)
+    for dim in (1, 2, 5, 40):
+        for _ in range(20):
+            # distinct off-diagonal pairs, some given twice: the sum of a
+            # pair does not depend on its order, that of three would
+            pairs = np.unique(rng.integers(0, dim, (3 * dim, 2)), axis=0)
+            pairs = pairs[pairs[:, 0] != pairs[:, 1]]
+            pairs = rng.permutation(np.concatenate([pairs, pairs[::3]]))
+            rows, cols = pairs.T
+            rates = rng.random(len(rows)) * 10.0 ** rng.integers(-3, 3,
+                                                                 len(rows))
+            rates[rng.random(len(rows)) < 0.2] = 0.0
+            _assert_same_csr(
+                models.SparseRateMatrix(dim, rows, cols, rates).matrix,
+                _ref_sparse_rate_matrix(dim, rows, cols, rates), dim)
 
 
 # Reference: the per-entry loop that measured detailed balance before the

@@ -30,6 +30,22 @@ def test_q_number_frozen_values():
     assert qcalc.q_number(5, 1.0) == 5.0
 
 
+@pytest.mark.parametrize("shape", [(), (0,), (7,), (5, 625)])
+@pytest.mark.parametrize("q", [0.8458396341622736, 0.3, 1.0])
+def test_q_power_is_the_scalar_power_of_every_entry(q, shape):
+    # a few exponents repeated many times, both signed zeros among them,
+    # as in the duality tables
+    pool = [0.0, -0.0, 1.0, -3.5, 2.25, 17.0, -40.125, 1e-3]
+    e = np.resize(pool, int(np.prod(shape)))
+    np.random.default_rng(1).shuffle(e)
+    e = e.reshape(shape)
+    got = qcalc.q_power(q, e)
+    ref = np.array([q ** v for v in e.ravel().tolist()], dtype=float)
+    assert got.shape == shape and got.dtype == np.float64
+    assert got.tobytes() == ref.tobytes()
+    assert qcalc.q_power(q, -0.0).tobytes() == np.float64(1.0).tobytes()
+
+
 def test_q_binomial_frozen():
     # (4 choose 2)_q at q = 1/2: [4][3]/([2][1]) = 10.625*5.25/2.5
     assert qcalc.q_binomial(4, 2, 0.5) == pytest.approx(22.3125, abs=1e-10)
