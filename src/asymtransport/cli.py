@@ -309,7 +309,8 @@ def _suite_thermal(p, p_bad):
         residual=float(np.abs(mu @ gen.matrix.toarray()).max()),
         threshold=1e-10))
 
-    out.append(dualitylab.verify_thermal_selfduality(3, 3, 2, p3(p_bad, 3)))
+    out.append(dualitylab.verify_selfduality_asip(3, 3, 2, p3(p_bad, 3),
+                                                  thermal_version=True))
     pc = ModelParams(q=1.0, k=p.k, sigma=p.sigma, L=3)
     out.append(dualitylab.thermal_continuous_duality_residual(
         np.array([0.7, 1.1, 0.4]), np.array([1, 0, 2]), pc))

@@ -154,13 +154,13 @@ def _compositions(L, N):
             yield (first,) + rest
 
 
-def enumerate_sector(L, N, cap=SECTOR_CAP):
-    """Enumerate the (L, N) sector; raises if its size exceeds ``cap``."""
+def enumerate_sector(L, N):
+    """Enumerate the (L, N) sector; raises above ``SECTOR_CAP`` states."""
     if L < 1 or N < 0:
         raise ValueError("need L >= 1 and N >= 0")
     size = math.comb(N + L - 1, N)
-    if size > cap:
-        raise ValueError("sector size %d exceeds cap %d" % (size, cap))
+    if size > SECTOR_CAP:
+        raise ValueError("sector size %d exceeds cap %d" % (size, SECTOR_CAP))
     configs = np.array(list(_compositions(L, N)), dtype=int)
     configs.flags.writeable = False
     return Sector(L=L, N=N, configs=configs)

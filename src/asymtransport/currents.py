@@ -49,12 +49,15 @@ def rate_function(x, a, b):
 
     ``I(x) = (a + b) - sqrt(x^2 + 4ab) + x ln((x + sqrt(x^2 + 4ab))/(2a))``.
 
-    Nonnegative, zero exactly at the mean velocity a - b.
+    Nonnegative, zero exactly at the mean velocity a - b.  For x < 0 the
+    sum x + sqrt(x^2 + 4ab) cancels, so it is taken as the equal
+    ``4ab / (sqrt(x^2 + 4ab) - x)``.
     """
     if a <= 0 or b <= 0:
         raise ValueError("need a > 0 and b > 0")
     s = math.sqrt(x * x + 4.0 * a * b)
-    return (a + b) - s + x * math.log((x + s) / (2.0 * a))
+    root = x + s if x >= 0 else 4.0 * a * b / (s - x)
+    return (a + b) - s + x * math.log(root / (2.0 * a))
 
 
 def walker_rates(q, k):

@@ -31,8 +31,7 @@ __all__ = [
     "form_conversion_factor",
     "generator_duality_residual", "verify_selfduality_asip",
     "sip_dual_action", "verify_abep_sip_duality", "verify_g_map_conjugation",
-    "duality_scaling_limit_check", "verify_thermal_selfduality",
-    "thermal_continuous_duality_residual",
+    "duality_scaling_limit_check", "thermal_continuous_duality_residual",
 ]
 
 
@@ -156,49 +155,41 @@ def d_asip_multi(eta, ells, params):
     return float(out)
 
 
-def d_asip_matrix(sector_eta, sector_xi, params, form="product"):
+def d_asip_matrix(sector_eta, sector_xi, params):
     """Kernel as a dense (len eta-sector, len xi-sector) matrix, equal
-    entry by entry to ``d_asip``.
+    entry by entry to the "product" form of ``d_asip``; the other form
+    differs from it by a constant on each xi-sector, so either one
+    satisfies the duality identity.
 
     Each entry of ``d_asip`` is a product over sites, in site order, of a
     ratio that depends on (eta_i, xi_i) only and a power of q.  The ratios
     come from one table indexed by (eta_i, xi_i), zero where xi_i > eta_i,
     which gives the kernel its support.  The power of site i depends on
-    the column and on eta_i ("product": the running sum of xi over earlier
-    sites enters) or on the tail count N_(i+1)(eta) ("pochhammer"), and
-    comes from one table per site indexed by that row quantity and the
-    column.  Each site then costs two in-place gather-multiplies.
+    eta_i and on the column through xi_i and the running sum of xi over
+    earlier sites, and comes from one table per site indexed by eta_i and
+    the column.  Each site then costs two in-place gather-multiplies.
     """
     eta = sector_eta.configs
     xi = sector_xi.configs
     if eta.shape[1] != xi.shape[1]:
         raise ValueError("eta and xi must have the same length")
-    if form not in ("product", "pochhammer"):
-        raise ValueError("unknown form %r" % (form,))
     q, k = params.q, params.k
     n_grid, m_grid = np.indices((eta.max() + 1, xi.max() + 1))
     support = m_grid <= n_grid
     ratio = np.zeros(support.shape)
     for n, m in zip(n_grid[support], m_grid[support]):  # NumPy integers
-        ratio[n, m] = _site_ratio(n, m, params, form)
-    if form == "product":
-        row_key = eta
-        acc = np.zeros(len(xi), dtype=int)  # running sum of xi_m over m < i
-    else:
-        row_key = np.cumsum(eta[:, ::-1], axis=1)[:, ::-1] - eta  # N_(i+1)
-    key = np.arange(int(row_key.max()) + 1)[:, None]
+        ratio[n, m] = _site_ratio(n, m, params, "product")
+    key = np.arange(int(eta.max()) + 1)[:, None]
+    acc = np.zeros(len(xi), dtype=int)  # running sum of xi_m over m < i
     out = np.ones((len(eta), len(xi)))
     for i0 in range(eta.shape[1]):
         i = i0 + 1
         m = xi[:, i0]
         out *= ratio[eta[:, i0][:, None], m[None, :]]
-        if form == "product":
-            expo = np.where(key >= m, (key - m) * (2 * acc + m)
-                            - 4.0 * k * i * m, 0.0)
-            acc += m
-        else:
-            expo = (m - 4.0 * k * i + 2 * key) * m
-        out *= qcalc.q_power(q, expo)[row_key[:, i0]]
+        expo = np.where(key >= m, (key - m) * (2 * acc + m)
+                        - 4.0 * k * i * m, 0.0)
+        acc += m
+        out *= qcalc.q_power(q, expo)[eta[:, i0]]
     return out
 
 
@@ -219,8 +210,7 @@ def generator_duality_residual(gen_eta, gen_xi, D):
     return float(np.abs(lhs - rhs).max()) / scale
 
 
-def verify_selfduality_asip(L, n_eta, n_xi, params, form="product",
-                            thermal_version=False):
+def verify_selfduality_asip(L, n_eta, n_xi, params, thermal_version=False):
     """Check the self-duality identity at the generator level on the
     (L, n_eta) x (L, n_xi) sector pair."""
     s_eta = configspace.enumerate_sector(L, n_eta)
@@ -229,11 +219,12 @@ def verify_selfduality_asip(L, n_eta, n_xi, params, form="product",
     model = "th_asip" if thermal_version else "asip"
     gen_eta = models.build_generator(s_eta, model, p)
     gen_xi = models.build_generator(s_xi, model, p)
-    D = d_asip_matrix(s_eta, s_xi, p, form=form)
+    D = d_asip_matrix(s_eta, s_xi, p)
     res = generator_duality_residual(gen_eta, gen_xi, D)
     return CheckReport(
         name=("thermal-self-duality" if thermal_version else "self-duality"),
-        params=dict(L=L, n_eta=n_eta, n_xi=n_xi, q=p.q, k=p.k, form=form),
+        params=dict(L=L, n_eta=n_eta, n_xi=n_xi, q=p.q, k=p.k,
+                    form="product"),
         residual=res, threshold=1e-10)
 
 
@@ -274,7 +265,7 @@ def verify_abep_sip_duality(x, xi, params):
     def kernel_at(y):
         return d_abep(y, xi, params)
 
-    lhs = sum(models.abep_generator_apply(kernel_at, x, i, params, h=1e-4)
+    lhs = sum(models.abep_generator_apply(kernel_at, x, i, params)
               for i in range(1, len(x)))
     rhs = sip_dual_action(lambda z: d_abep(x, z, params), xi, params.k)
     scale = max(1.0, abs(lhs), abs(rhs))
@@ -293,10 +284,9 @@ def verify_g_map_conjugation(f, x, params):
     symmetric = ModelParams(q=1.0, k=params.k)
     worst = 0.0
     for i in range(1, len(x)):
-        lhs = models.abep_generator_apply(f, gx, i, symmetric, h=1e-4)
+        lhs = models.abep_generator_apply(f, gx, i, symmetric)
         rhs = models.abep_generator_apply(
-            lambda y: f(configspace.g_map(y, params.sigma)), x, i, params,
-            h=1e-4)
+            lambda y: f(configspace.g_map(y, params.sigma)), x, i, params)
         worst = max(worst, abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs)))
     return CheckReport(
         name="g-map-conjugation",
@@ -328,13 +318,6 @@ def duality_scaling_limit_check(x, xi, sigma, k, n_list):
         val = (1.0 / n) ** int(xi.sum()) * d_asip(eta, xi, p, form="pochhammer")
         errors.append(abs(val - target))
     return errors, target
-
-
-def verify_thermal_selfduality(L, n_eta, n_xi, params):
-    """Generator-level self-duality of the thermalized discrete process,
-    with the same kernel as the un-thermalized one."""
-    return verify_selfduality_asip(L, n_eta, n_xi, params,
-                                   thermal_version=True)
 
 
 def thermal_continuous_duality_residual(x, xi, params):

@@ -109,11 +109,10 @@ def asip_edge_rates(eta, i, params):
     return right, left
 
 
-def sip_edge_rates(eta, i, k, L=None, boundary="closed"):
-    """Symmetric inclusion rates: right = eta_i (2k + eta_j), left mirrored."""
-    L = len(eta) if L is None else L
-    p = ModelParams(q=1.0, k=k, L=L, boundary=boundary)
-    a, b = p.edge_sites(i)
+def sip_edge_rates(eta, i, k):
+    """Symmetric inclusion rates across edge i of the closed chain of
+    ``len(eta)`` sites: right = eta_i (2k + eta_j), left mirrored."""
+    a, b = ModelParams(q=1.0, k=k, L=len(eta)).edge_sites(i)
     na, nb = int(eta[a - 1]), int(eta[b - 1])
     return float(na * (2 * k + nb)), float((2 * k + na) * nb)
 
@@ -243,18 +242,17 @@ def _directional_derivs(f, x, i, h):
     return d1, d2
 
 
-def abep_generator_apply(f, x, i, params, h=None):
+def abep_generator_apply(f, x, i, params):
     """Apply the edge diffusion generator to f at x by central differences.
 
-    ``h`` defaults to ``1e-4 * max(1, |x|_inf)``; the h and h/2 stencils
-    are combined (Richardson) for O(h^4) accuracy.  Points within 2h of
-    the energy boundary are rejected (degenerate stencil).
+    The stencils of steps h = 1e-4 and h/2 are combined (Richardson) for
+    O(h^4) accuracy.  Points within 2h of the energy boundary are rejected
+    (degenerate stencil).
     """
     x = np.asarray(x, dtype=float)
-    if h is None:
-        h = 1e-4 * max(1.0, float(np.abs(x).max()))
+    h = 1e-4
     if min(x[i - 1], x[i]) < 2.0 * h:
-        raise ValueError("stencil reaches the boundary; reduce h or move x")
+        raise ValueError("stencil reaches the boundary; move x")
     a2, a1 = _abep_edge_coeffs(x, i, params.k, params.sigma)
 
     def value(step):

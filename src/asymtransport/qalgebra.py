@@ -115,51 +115,28 @@ def hamiltonian_constant(k, q):
         * (q ** (2 * k - 1) - q ** (-(2 * k - 1))) / (q - 1.0 / q) ** 2
 
 
-def delta_casimir_pair(k, q, n_max, form="explicit"):
+def delta_casimir_pair(k, q, n_max):
     """Two-site image of the Casimir under the co-product, as a dense
-    matrix on the pair basis (left site most significant).
-
-    form
-    ----
-    "explicit" : hopping terms sandwiched between ``q^K0`` (left) and
-        ``q^-K0`` (right), plus ``K+K- (x) q^-2K0``, ``q^2K0 (x) K+K-``
-        and a diagonal combination of ``q^(+-2K0) (x) q^(+-2K0)``.  At
-        q = 1 the diagonal combination degenerates to
-        ``-(K0 (x) 1 + 1 (x) K0)(K0 (x) 1 + 1 (x) K0 - 1)``.
-    "sandwiched" : the fully sandwiched rewriting
-        ``q^K0 { K+ (x) K- + K- (x) K+ - A (q^K0 - q^-K0) (x) (...)
-        - B (q^K0 + q^-K0) (x) (...) } q^-K0`` with scalar constants A, B;
-        requires q < 1.
+    matrix on the pair basis (left site most significant): hopping terms
+    sandwiched between ``q^K0`` (left) and ``q^-K0`` (right), plus
+    ``K+K- (x) q^-2K0``, ``q^2K0 (x) K+K-`` and a diagonal combination of
+    ``q^(+-2K0) (x) q^(+-2K0)``.  At q = 1 the diagonal combination
+    degenerates to ``-(K0 (x) 1 + 1 (x) K0)(K0 (x) 1 + 1 (x) K0 - 1)``.
     """
     ops = site_operators(k, q, n_max)
     Kp, Km, qK0, qK0inv = ops["Kplus"], ops["Kminus"], ops["qK0"], ops["qK0inv"]
     K, Kinv, I = ops["K"], ops["Kinv"], ops["identity"]
-    sandwich_l = np.kron(qK0, I)
-    sandwich_r = np.kron(I, qK0inv)
     hop = np.kron(Kp, Km) + np.kron(Km, Kp)
-    if form == "explicit":
-        out = sandwich_l @ hop @ sandwich_r
-        out += np.kron(Kp @ Km, Kinv) + np.kron(K, Kp @ Km)
-        if q == 1.0:
-            tot = np.kron(ops["K0"], I) + np.kron(I, ops["K0"])
-            out -= tot @ (tot - np.eye(tot.shape[0]))
-        else:
-            c = 1.0 / (q - 1.0 / q) ** 2
-            out -= c * (np.kron(K, K) / q + q * np.kron(Kinv, Kinv)
-                        - (q + 1.0 / q) * np.eye(K.shape[0] ** 2))
-        return out
-    if form == "sandwiched":
-        if q == 1.0:
-            raise ValueError("sandwiched form needs q < 1")
-        A = (q ** k + q ** (-k)) * (q ** (k - 1) + q ** (-(k - 1))) \
-            / (2.0 * (q - 1.0 / q) ** 2)
-        B = (q ** k - q ** (-k)) * (q ** (k - 1) - q ** (-(k - 1))) \
-            / (2.0 * (q - 1.0 / q) ** 2)
-        minus = qK0 - qK0inv
-        plus = qK0 + qK0inv
-        brace = hop - A * np.kron(minus, minus) - B * np.kron(plus, plus)
-        return sandwich_l @ brace @ sandwich_r
-    raise ValueError("unknown form %r" % (form,))
+    out = np.kron(qK0, I) @ hop @ np.kron(I, qK0inv)
+    out += np.kron(Kp @ Km, Kinv) + np.kron(K, Kp @ Km)
+    if q == 1.0:
+        tot = np.kron(ops["K0"], I) + np.kron(I, ops["K0"])
+        out -= tot @ (tot - np.eye(tot.shape[0]))
+    else:
+        c = 1.0 / (q - 1.0 / q) ** 2
+        out -= c * (np.kron(K, K) / q + q * np.kron(Kinv, Kinv)
+                    - (q + 1.0 / q) * np.eye(K.shape[0] ** 2))
+    return out
 
 
 def _site_chain(before, local, after, i, L):
@@ -168,7 +145,7 @@ def _site_chain(before, local, after, i, L):
     return reduce(np.kron, [before] * (i - 1) + [local] + [after] * (L - i))
 
 
-def build_hamiltonian(L, k, q, n_max, form="explicit"):
+def build_hamiltonian(L, k, q, n_max):
     """Sum over edges of the embedded two-site Casimir image plus the
     per-edge constant; annihilates the all-empty state and is symmetric.
 
@@ -180,7 +157,7 @@ def build_hamiltonian(L, k, q, n_max, form="explicit"):
     """
     d = n_max + 1
     dim = d ** L
-    pair = delta_casimir_pair(k, q, n_max, form=form)
+    pair = delta_casimir_pair(k, q, n_max)
     c = hamiltonian_constant(k, q)
     H = np.zeros((dim, dim))
     diagonal = H.reshape(-1)[::dim + 1]

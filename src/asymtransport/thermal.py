@@ -78,14 +78,15 @@ def sample_qbetabinom(n_tot, q, k, rng, size=None, weights=None):
     """Exact inverse-CDF sampling over the finite support.
 
     ``weights`` is ``qbetabinom_weights(n_tot, q, k)`` when the caller
-    already holds it, so it is not built twice.
+    already holds it, so it is not built twice.  The summed weights can
+    fall short of 1 by rounding, so a uniform above their total picks the
+    last split, n_tot.
     """
     if weights is None:
         weights = qbetabinom_weights(n_tot, q, k)
     cdf = np.cumsum(weights)
-    u = rng.random(size)
-    return int(np.searchsorted(cdf, u)) if size is None \
-        else np.searchsorted(cdf, u)
+    pick = np.minimum(np.searchsorted(cdf, rng.random(size)), len(cdf) - 1)
+    return int(pick) if size is None else pick
 
 
 BLOCK = 256  # events whose random numbers the dynamics draw at once

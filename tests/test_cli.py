@@ -2,6 +2,7 @@
 fault injection and input validation."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -211,6 +212,18 @@ def test_rate_csv_shape(tmp_path):
     sup, inf, limit = map(float, lines[-1].split(","))
     assert sup == limit
     assert inf == 0.0
+
+
+def test_rate_far_left_grid_writes_finite_rows(tmp_path):
+    out = tmp_path / "rate.csv"
+    code = main(["rate", "--model", "asip", "--points", "3", "--x-min=-1e9",
+                 "--x-max", "0", "--out", str(out)])
+    assert code == 0
+    lines = _read(out).decode().splitlines()
+    assert len(lines) == 3 + 1 + 2
+    values = [float(v) for line in lines[1:] if line != "sup,inf,limit"
+              for v in line.split(",")]
+    assert len(values) == 2 * 3 + 3 and all(map(math.isfinite, values))
 
 
 def test_thermalize_qbetabinom(tmp_path):

@@ -135,8 +135,10 @@ def test_sector_rank_is_enumeration_order():
 
 
 def test_sector_cap():
-    with pytest.raises(ValueError):
-        cs.enumerate_sector(12, 40, cap=1000)
+    # 4.8e10 states: the size check raises before anything is enumerated
+    assert math.comb(51, 40) > cs.SECTOR_CAP
+    with pytest.raises(ValueError, match="exceeds cap"):
+        cs.enumerate_sector(12, 40)
 
 
 def test_config_line_round_trip():

@@ -35,6 +35,17 @@ def test_rate_function_matches_legendre_transform():
         assert abs(exact - num) < 1e-8
 
 
+def test_rate_function_far_left_against_mpmath():
+    # x + sqrt(x^2 + 4ab) cancels for x << 0; at -1e9 it reached 0
+    a, b = cur.walker_rates(0.8, 0.5)
+    for x in (-1e9, -1e6, -1e3, -30.0):
+        with mp.workdps(50):
+            X, A, B = mp.mpf(x), mp.mpf(a), mp.mpf(b)
+            s = mp.sqrt(X * X + 4 * A * B)
+            ref = float((A + B) - s + X * mp.log((X + s) / (2 * A)))
+        assert cur.rate_function(x, a, b) == pytest.approx(ref, rel=1e-14), x
+
+
 def test_symmetric_rate_function():
     # the symmetric rate-2k walker's closed form
     k = 0.5

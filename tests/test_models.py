@@ -72,10 +72,18 @@ def test_generator_periodic_has_extra_edge():
 # Reference: the per-entry loop that built the rate tables before the
 # per-site factors and broadcasting; the tables must agree bit for bit.
 
+def _sip_rates(eta, i, p):
+    # sip_edge_rates rates closed chains; on a ring the asip rates at
+    # q = 1 are the same bits
+    if p.boundary == "closed":
+        return models.sip_edge_rates(eta, i, p.k)
+    return models.asip_edge_rates(
+        eta, i, ModelParams(q=1.0, k=p.k, L=p.L, boundary=p.boundary))
+
+
 _RATE_FNS = {
     "asip": models.asip_edge_rates,
-    "sip": lambda eta, i, p: models.sip_edge_rates(eta, i, p.k, L=p.L,
-                                                   boundary=p.boundary),
+    "sip": _sip_rates,
     "qtazrp": lambda eta, i, p: (0.0, models.qtazrp_rate(
         eta, p.edge_sites(i)[1] - 1, p.q)),
 }

@@ -82,9 +82,28 @@ def test_hamiltonian_constant_q_one_limit():
         qa.hamiltonian_constant(0.75, 1.0), rel=1e-6)
 
 
+def _sandwiched_casimir_pair(k, q, n_max):
+    """Reference: the fully sandwiched rewriting of the two-site Casimir
+    image, ``q^K0 { K+ (x) K- + K- (x) K+ - A (q^K0 - q^-K0) (x) (...)
+    - B (q^K0 + q^-K0) (x) (...) } q^-K0`` with scalar constants A, B;
+    needs q < 1."""
+    ops = qa.site_operators(k, q, n_max)
+    Kp, Km, qK0, qK0inv = ops["Kplus"], ops["Kminus"], ops["qK0"], ops["qK0inv"]
+    I = ops["identity"]
+    A = (q ** k + q ** (-k)) * (q ** (k - 1) + q ** (-(k - 1))) \
+        / (2.0 * (q - 1.0 / q) ** 2)
+    B = (q ** k - q ** (-k)) * (q ** (k - 1) - q ** (-(k - 1))) \
+        / (2.0 * (q - 1.0 / q) ** 2)
+    minus = qK0 - qK0inv
+    plus = qK0 + qK0inv
+    hop = np.kron(Kp, Km) + np.kron(Km, Kp)
+    brace = hop - A * np.kron(minus, minus) - B * np.kron(plus, plus)
+    return np.kron(qK0, I) @ brace @ np.kron(I, qK0inv)
+
+
 def test_delta_casimir_forms_agree():
-    A = qa.delta_casimir_pair(K, Q, 4, form="explicit")
-    B = qa.delta_casimir_pair(K, Q, 4, form="sandwiched")
+    A = qa.delta_casimir_pair(K, Q, 4)
+    B = _sandwiched_casimir_pair(K, Q, 4)
     # compare on the sector-exact part of the two-site truncation
     idx = [i * 5 + j for i in range(5) for j in range(5) if i + j <= 4]
     assert np.abs((A - B)[np.ix_(idx, idx)]).max() < 1e-11
@@ -254,9 +273,9 @@ def test_basis_occupations_and_sector_indices():
 # Every entry gets the same nonzero addends in the same order, so the
 # matrices must agree bit for bit.
 
-def _ref_build_hamiltonian(L, k, q, n_max, form="explicit"):
+def _ref_build_hamiltonian(L, k, q, n_max):
     d = n_max + 1
-    pair = qa.delta_casimir_pair(k, q, n_max, form=form)
+    pair = qa.delta_casimir_pair(k, q, n_max)
     c = qa.hamiltonian_constant(k, q)
     H = np.zeros((d ** L, d ** L))
     for i in range(1, L):
@@ -270,11 +289,9 @@ def _ref_build_hamiltonian(L, k, q, n_max, form="explicit"):
 def test_hamiltonian_matches_dense_kronecker_sum_bit_for_bit(L, n_max):
     for q, k in ((0.85, 1.0), (0.8, 0.5), (0.6, 0.3), (0.95, 2.0),
                  (1.0, 0.75)):
-        forms = ("explicit",) if q == 1.0 else ("explicit", "sandwiched")
-        for form in forms:
-            H = qa.build_hamiltonian(L, k, q, n_max, form=form)
-            ref = _ref_build_hamiltonian(L, k, q, n_max, form=form)
-            assert H.tobytes() == ref.tobytes(), (q, k, form)
+        H = qa.build_hamiltonian(L, k, q, n_max)
+        ref = _ref_build_hamiltonian(L, k, q, n_max)
+        assert H.tobytes() == ref.tobytes(), (q, k)
 
 
 # Reference: the global symmetries as they were assembled, one Kronecker

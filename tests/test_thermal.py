@@ -367,6 +367,17 @@ def test_dynamics_keep_w_in_the_unit_interval_at_the_top_quantile():
         assert x.tolist() == [a / 2.0, 0.0]
 
 
+def test_sample_qbetabinom_stays_in_the_support_at_the_top_quantile():
+    # at n = 184, q = 1, k = 1/2 the summed weights fall short of the
+    # largest uniform below 1 by rounding
+    n = 184
+    assert np.cumsum(thermal.qbetabinom_weights(n, 1.0, 0.5))[-1] \
+        < 1.0 - 2.0 ** -53
+    assert thermal.sample_qbetabinom(n, 1.0, 0.5, _TopUniform()) == n
+    assert thermal.sample_qbetabinom(n, 1.0, 0.5, _TopUniform(),
+                                     size=3).tolist() == [n, n, n]
+
+
 def test_dynamics_raise_when_a_tilt_passes_the_float_range():
     # every edge of the initial chain is below MAX_TILT; the first update
     # moves edge 2's energy left, and edge 1 then carries 2 sigma E = 1200
