@@ -44,6 +44,10 @@ EXP_MAX = math.log(sys.float_info.max)  # the largest x math.exp takes
 # rate call each, 16 MB for the pair at n = 1000.
 TABLE_MAX = 1000
 
+# Most jump events a simulate or current request may expect: a few
+# minutes of event loop at about 2 us an event (blocks of 48 replicas).
+EVENT_BUDGET = 1e8
+
 
 @dataclass
 class ExperimentSpec:
@@ -462,6 +466,21 @@ def _initial_config(spec):
     return eta
 
 
+def _check_event_budget(spec, tables, na, nb, edges):
+    """Reject a horizon whose run would not finish: t x replicas x edges
+    x the largest total rate of an edge over its starting occupancy
+    pairs (na, nb) estimates the expected number of jump events, and it
+    must stay within EVENT_BUDGET."""
+    right, left = tables
+    rate = float((right[na, nb] + left[na, nb]).max())
+    events = spec.t * spec.replicas * edges * rate
+    if not events <= EVENT_BUDGET:
+        raise SystemExit("--t %s with --replicas %d expects about %.3g jump "
+                         "events, past the budget of %.0e; lower --t or "
+                         "--replicas" % (_fmt(spec.t), spec.replicas, events,
+                                         EVENT_BUDGET))
+
+
 def cmd_simulate(spec):
     if spec.replicas < 1:
         raise SystemExit("need --replicas >= 1")
@@ -472,6 +491,7 @@ def cmd_simulate(spec):
                          "tables hold (particles + 1)^2 entries)" % TABLE_MAX)
     p = ModelParams(q=spec.q, k=spec.k, sigma=spec.sigma, L=len(eta0))
     tables = models.edge_rate_table(spec.model, p, n_max=n_max)
+    _check_event_budget(spec, tables, eta0[:-1], eta0[1:], len(eta0) - 1)
     tree = engine.SeedTree(spec.seed)
     lines = ["replica,time,edge,direction"]
     for start in range(0, spec.replicas, engine.BATCH):
@@ -565,6 +585,11 @@ def cmd_current(spec):
         _emit(spec.out, rows)
         return 0
 
+    if spec.formula == "q-step":
+        _check_event_budget(spec, tables, eta0[:-1], eta0[1:], W - 1)
+    else:
+        # every site starts with 0 or 1 particle
+        _check_event_budget(spec, tables, slice(0, 2), slice(0, 2), W - 1)
     res = engine.q_moment_ensemble(tables, init, half + spec.bond, spec.q,
                                    spec.t, spec.replicas, spec.seed)
     mc, se = float(res.mean[0]), float(res.se[0])

@@ -49,15 +49,21 @@ def rate_function(x, a, b):
 
     ``I(x) = (a + b) - sqrt(x^2 + 4ab) + x ln((x + sqrt(x^2 + 4ab))/(2a))``.
 
-    Nonnegative, zero exactly at the mean velocity a - b.  For x < 0 the
-    sum x + sqrt(x^2 + 4ab) cancels, so it is taken as the equal
-    ``4ab / (sqrt(x^2 + 4ab) - x)``.
+    Nonnegative, zero exactly at the mean velocity a - b.  The formula
+    cancels when a and b are close (q near 1) and x is small, and its
+    logarithm when x << 0, so it is evaluated in the equal form
+    ``(a - b)^2 / (sqrt a + sqrt b)^2 - x^2 / (s + c)
+    + x (asinh(x / c) + ln(1 + (b - a) / a) / 2)``, with
+    ``s = sqrt(x^2 + 4ab)`` and ``c = 2 sqrt(ab)``: at x = 0 it reads
+    ``(sqrt a - sqrt b)^2`` with every digit.
     """
     if a <= 0 or b <= 0:
         raise ValueError("need a > 0 and b > 0")
     s = math.sqrt(x * x + 4.0 * a * b)
-    root = x + s if x >= 0 else 4.0 * a * b / (s - x)
-    return (a + b) - s + x * math.log(root / (2.0 * a))
+    c = 2.0 * math.sqrt(a * b)
+    return (a - b) ** 2 / (math.sqrt(a) + math.sqrt(b)) ** 2 \
+        - x * x / (s + c) \
+        + x * (math.asinh(x / c) + 0.5 * math.log1p((b - a) / a))
 
 
 def walker_rates(q, k):

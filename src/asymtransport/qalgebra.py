@@ -22,26 +22,23 @@ here:
 Operators are returned as dense matrices on the truncated occupation
 basis ``{0, ..., n_max}`` per site, site 1 the most significant tensor
 factor; identities are exact on any particle-number sector whose total
-fits strictly inside the truncation.
+fits strictly inside the truncation.  The two derived operators of step 4
+are formed only between the fitting states, the configurations with at
+most n_max particles in all, which hold every sector the identities
+read; their entries outside that block are exactly 0.
 
-The Hamiltonian and the explicit operators of steps 3 and 4 are
-assembled from small tables by broadcasting, without Kronecker products
-of full-size operators.  The Hamiltonian views a matrix as (sites before
-i, site i, sites after i) on both axes and adds each edge's two-site
-matrix into the strided view of the blocks where the other sites keep
-their occupations.  The explicit operators factor over sites: each
-element is a product, in site order, of per-site factors looked up in
-small tables.  The ground state takes each factor as one in-place
-broadcast multiply; the exponential symmetry grows one site at a time,
-the matrix over the earlier sites times the site's tables.  Keeping the
-formulas' order of sums and products fixes every bit of the result.  The
-global symmetries and the deformed exponential series, which only serve
-as checks, are still Kronecker products.  Nothing here uses
-``dualitylab``'s kernel code, so comparing the two is a genuine
-re-derivation.
+Every operator is assembled from small tables by broadcasting, without
+Kronecker products of full-size operators.  The Hamiltonian and the
+global symmetries add each summand (an edge's two-site Casimir image, or
+a site's operator times diagonal factors on the other sites, multiplied
+in site order) into a strided view of the blocks where the sites outside
+it keep their occupations.  The explicit operators factor over sites:
+each element is a product, in site order, of per-site factors looked up
+in small tables.  Keeping the formulas' order of sums and products fixes
+every bit of the result.  Nothing here uses ``dualitylab``'s kernel code
+or ``models``' rates, so comparing with them is a genuine re-derivation.
 """
 
-from functools import reduce
 import math
 
 import numpy as np
@@ -139,10 +136,17 @@ def delta_casimir_pair(k, q, n_max):
     return out
 
 
-def _site_chain(before, local, after, i, L):
-    """The L-site tensor product of ``before`` at sites 1..i-1, ``local``
-    at site i and ``after`` at sites i+1..L (site 1 most significant)."""
-    return reduce(np.kron, [before] * (i - 1) + [local] + [after] * (L - i))
+def _diagonal_blocks(M, before, after, width):
+    """Strided (before, after, width, width) view of the square matrix M
+    on the basis (earlier sites, a block of sites, later sites), with
+    ``before``, ``width`` and ``after`` states: the entries whose row and
+    column agree outside the block."""
+    dim = M.shape[0]
+    step = M.strides[1]
+    return np.lib.stride_tricks.as_strided(
+        M, shape=(before, after, width, width),
+        strides=(width * after * (dim + 1) * step, (dim + 1) * step,
+                 after * dim * step, after * step))
 
 
 def build_hamiltonian(L, k, q, n_max):
@@ -161,18 +165,33 @@ def build_hamiltonian(L, k, q, n_max):
     c = hamiltonian_constant(k, q)
     H = np.zeros((dim, dim))
     diagonal = H.reshape(-1)[::dim + 1]
-    step = H.strides[1]
     for i in range(1, L):
-        before, after = d ** (i - 1), d ** (L - i - 1)
-        # (sites before, sites after, pair row, pair column); the sites
-        # outside the edge move the row and the column together
-        blocks = np.lib.stride_tricks.as_strided(
-            H, shape=(before, after, d * d, d * d),
-            strides=(d * d * after * (dim + 1) * step, (dim + 1) * step,
-                     after * dim * step, after * step))
+        blocks = _diagonal_blocks(H, d ** (i - 1), d ** (L - i - 1), d * d)
         blocks += pair
         diagonal += c
     return H
+
+
+def _coproduct_sum(L, before, local, after):
+    """``sum_i before^(i-1) (x) local (x) after^(L-i)`` for diagonal
+    ``before`` and ``after``: summand i is nonzero only where the sites
+    other than i keep their occupations, with value ``b(eta_1) ...
+    b(eta_(i-1)) local(eta_i, xi_i) a(eta_(i+1)) ... a(eta_L)``, the
+    factors multiplied in site order as in the Kronecker chain."""
+    d = local.shape[0]
+    b, a = np.diag(before), np.diag(after)
+    out = np.zeros((d ** L, d ** L))
+    prefix = np.ones(1)  # product of b over the sites before i
+    for i in range(1, L + 1):
+        # (before, after, d, d), the sites after i multiplied in one by one
+        term = prefix[:, None, None, None] * local
+        for _ in range(L - i):
+            term = (term[:, :, None] * a[:, None, None]).reshape(
+                len(prefix), -1, d, d)
+        blocks = _diagonal_blocks(out, d ** (i - 1), d ** (L - i), d)
+        blocks += term
+        prefix = (prefix[:, None] * b).ravel()
+    return out
 
 
 def coproduct_symmetries(L, k, q, n_max):
@@ -185,7 +204,7 @@ def coproduct_symmetries(L, k, q, n_max):
     ``F = sum_i F_i K_(i+1)^-1...K_L^-1``.
     """
     ops = site_operators(k, q, n_max)
-    I, dim = ops["identity"], (n_max + 1) ** L
+    I = ops["identity"]
     # (sites before i, site i, sites after i) of each summand
     chains = {
         "Kplus": (ops["qK0"], ops["Kplus"], ops["qK0inv"]),
@@ -194,8 +213,7 @@ def coproduct_symmetries(L, k, q, n_max):
         "E": (ops["K"], ops["E"], I),
         "F": (I, ops["F"], ops["Kinv"]),
     }
-    return {name: sum((_site_chain(*factors, i, L) for i in range(1, L + 1)),
-                      np.zeros((dim, dim)))
+    return {name: _coproduct_sum(L, *factors)
             for name, factors in chains.items()}
 
 
@@ -233,8 +251,42 @@ def matrix_q_exp(X, r):
 def splus_from_qexp(L, k, q, n_max):
     """Exponential symmetry as the deformed exponential of the global
     raising operator; the series terminates on the truncated basis."""
-    E_L = coproduct_symmetries(L, k, q, n_max)["E"]
+    ops = site_operators(k, q, n_max)
+    E_L = _coproduct_sum(L, ops["K"], ops["E"], ops["identity"])
     return matrix_q_exp(E_L, q ** 2)
+
+
+def _splus_block(k, q, occ, n_max):
+    """The closed-form elements ``<eta|S+|xi>`` (see ``splus_closed_form``)
+    for eta and xi running over the rows of the occupation array ``occ``.
+
+    The block is built site by site, each site multiplying in its root
+    factor and then its power factor, the products of the per-entry
+    formula in its order.  The root factor depends on (eta_i, xi_i) only
+    and is gathered from one (n_max+1)^2 table shared by all sites.  The
+    power factor of site i depends on eta_i - xi_i and on the column's
+    running sum over its earlier sites, so its powers come from one
+    (n_max+1, columns) table, indexed by (eta_i - xi_i, column); below the
+    diagonal, where the root factor is 0, it reads the power 1.
+    """
+    d = n_max + 1
+    root = np.zeros((d, d))
+    for e in range(d):
+        for x in range(e + 1):
+            l = e - x
+            root[e, x] = math.sqrt(q_binomial(e, l, q)
+                                   * q_binomial(e + 2 * k - 1, l, q))
+    m = len(occ)
+    columns = np.arange(m)
+    out = np.ones((m, m))
+    acc = np.zeros(m)  # per column: sum of (xi_j + k) over earlier j
+    for x in occ.T:
+        out *= root[x][:, x]
+        power = qcalc.q_power(
+            q, np.arange(d)[:, None] * (1 + k + x + 2 * acc))
+        out *= power[np.maximum(x[:, None] - x, 0), columns]
+        acc = acc + (x + k)
+    return out
 
 
 def splus_closed_form(L, k, q, n_max):
@@ -245,44 +297,10 @@ def splus_closed_form(L, k, q, n_max):
     q^((eta_i - xi_i)(1 + k + xi_i + 2 sum_(m<i) (xi_m + k)))``
     supported on eta >= xi sitewise.  Both binomials are written with the
     integer lower index eta_i - xi_i so that non-integer 2k is allowed.
-
-    Each element is a product of two factors per site, taken in site
-    order.  The root factor depends on (eta_i, xi_i) only and comes from
-    one (n_max+1)^2 table shared by all sites; the power factor of site i
-    also depends on the running sum over the column's earlier sites.  So
-    the product over sites 1..i is a (d^i, d^i) matrix of d = n_max + 1
-    per axis, built site by site: the Kronecker product of the previous
-    one with the root table times the power table of site i, indexed by
-    (eta_i, xi_1..xi_i).  That is the same products in the same order as
-    the per-entry formula, and the full-size matrix is written once and
-    multiplied once.
+    Each element is the product of two factors per site, taken in site
+    order, as in the per-entry formula.
     """
-    d = n_max + 1
-    eta_i = np.arange(d)[:, None]
-    root = np.zeros((d, d))
-    for e in range(d):
-        for x in range(e + 1):
-            l = e - x
-            root[e, x] = math.sqrt(q_binomial(e, l, q)
-                                   * q_binomial(e + 2 * k - 1, l, q))
-    out = np.ones((1, 1))
-    acc = np.zeros(1)  # sum of (xi_m + k) over m < i, per column
-    for i0 in range(L):
-        before = d ** i0
-        # xi_i and the running sum of the columns (xi_1..xi_i)
-        x = np.tile(np.arange(d), before)
-        acc = np.repeat(acc, d)
-        l = eta_i - x
-        power = qcalc.q_power(
-            q, np.where(l >= 0, l * (1 + k + x + 2 * acc), 0.0))
-        prefix = out
-        out = np.empty((before * d, before * d))
-        np.multiply(prefix[:, None, :, None], root[:, None, :],
-                    out=out.reshape(before, d, before, d))
-        rows = out.reshape(before, d, before * d)
-        rows *= power
-        acc = acc + (x + k)
-    return out
+    return _splus_block(k, q, basis_occupations(L, n_max), n_max)
 
 
 def ground_state_vector(L, k, q, n_max):
@@ -301,17 +319,51 @@ def ground_state_vector(L, k, q, n_max):
     return g
 
 
+def _fitting_states(L, n_max):
+    """Tensor-basis indices and occupation rows of the fitting states, the
+    configurations with at most n_max particles in all."""
+    occ = basis_occupations(L, n_max)
+    idx = np.flatnonzero(occ.sum(axis=1) <= n_max)
+    return idx, occ[idx]
+
+
+def _embed(block, idx, dim):
+    """The (dim, dim) matrix that is ``block`` on idx x idx and 0 else."""
+    out = np.zeros((dim, dim))
+    out[np.ix_(idx, idx)] = block
+    return out
+
+
 def derive_generator(L, k, q, n_max):
     """Ground-state conjugation of the Hamiltonian,
     ``G^-1 H G`` with G = diag(ground state); entry (x, y) is the jump
     rate x -> y and rows sum to zero on particle-number sectors that fit
-    in the truncation.  Both factors act in place on H, so no second
-    matrix of its size is made."""
-    H = build_hamiltonian(L, k, q, n_max)
-    g = ground_state_vector(L, k, q, n_max)
+    in the truncation.
+
+    Formed only between the fitting states, those with at most n_max
+    particles in all: every entry outside that block is exactly 0, and
+    each entry inside it is that of the conjugated dense
+    ``build_hamiltonian``, bit for bit.  Each edge adds the pair matrix
+    wherever the sites off the edge agree and then the constant on the
+    diagonal, the dense sum's addends in its order.
+    """
+    idx, occ = _fitting_states(L, n_max)
+    d = n_max + 1
+    place = d ** np.arange(L - 1, -1, -1)
+    pair = delta_casimir_pair(k, q, n_max)
+    c = hamiltonian_constant(k, q)
+    m = len(idx)
+    H = np.zeros((m, m))
+    for i0 in range(L - 1):
+        edge = occ[:, i0] * d + occ[:, i0 + 1]
+        rest = idx - occ[:, i0:i0 + 2] @ place[i0:i0 + 2]
+        np.add(H, pair[edge[:, None], edge[None, :]], out=H,
+               where=rest[:, None] == rest[None, :])
+        H.reshape(-1)[::m + 1] += c
+    g = ground_state_vector(L, k, q, n_max)[idx]
     H *= g[None, :]
     H /= g[:, None]
-    return H
+    return _embed(H, idx, d ** L)
 
 
 def derive_duality(L, k, q, n_max):
@@ -322,17 +374,21 @@ def derive_duality(L, k, q, n_max):
     every sector pair); returns the normalized matrix
     ``D(eta, xi) = <eta|G^-1 S+ G^-1|xi> q^(-2 (k - 1) |xi|)``.
 
-    Both conjugations and the constant, one power of q per dual particle
-    number, act in place on S+ as row and column factors.
+    Formed only between the fitting states, those with at most n_max
+    particles in all: every entry outside that block is exactly 0, and
+    each entry inside it is that of the dense formula, bit for bit.  Both
+    conjugations and the constant, one power of q per dual particle
+    number, act in place on the S+ block as row and column factors.
     """
-    D = splus_closed_form(L, k, q, n_max)
-    g = ground_state_vector(L, k, q, n_max)
+    idx, occ = _fitting_states(L, n_max)
+    D = _splus_block(k, q, occ, n_max)
+    g = ground_state_vector(L, k, q, n_max)[idx]
     D /= g[:, None]
     D /= g[None, :]
     constant = np.array([q ** (-2.0 * (k - 1.0) * n)
-                         for n in range(L * n_max + 1)])
-    D *= constant[basis_occupations(L, n_max).sum(axis=1)][None, :]
-    return D
+                         for n in range(n_max + 1)])
+    D *= constant[occ.sum(axis=1)][None, :]
+    return _embed(D, idx, (n_max + 1) ** L)
 
 
 def sector_symmetry_residual(H, S, L, n_max, n_total_max):

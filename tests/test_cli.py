@@ -398,6 +398,27 @@ def test_bad_sampler_and_simulate_input_rejected(tmp_path, argv):
 
 
 @pytest.mark.parametrize("argv", [
+    # hung before the budget: the clock never reaches 1e308
+    ["simulate", "--model", "asip", "--L", "3", "--n", "2", "--q", "0.8",
+     "--k", "0.5", "--t", "1e308", "--replicas", "1"],
+    # 1e5 x 2 replicas x 39 edges x 13.1, the rate of an edge holding
+    # (2, 2): about 1.02e8 events
+    ["current", "--formula", "q-step", "--q", "0.8", "--k", "0.5", "--t",
+     "1e5", "--window", "40", "--replicas", "2"],
+])
+def test_horizon_past_the_event_budget_rejected(tmp_path, monkeypatch, argv):
+    def run(*args, **kwargs):
+        raise AssertionError("event loop started")
+
+    monkeypatch.setattr(cli.engine, "simulate_batch", run)
+    out = tmp_path / "out.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--seed", "1", "--out", str(out)])
+    assert "budget of %.0e" % cli.EVENT_BUDGET in str(exc.value.code)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
     ["simulate", "--init", "%d,0" % (cli.TABLE_MAX + 1), "--t", "1"],
     ["current", "--formula", "q-step", "--window", str(cli.TABLE_MAX + 1)],
     ["current", "--formula", "q-product", "--window", str(cli.TABLE_MAX + 1)],

@@ -46,6 +46,21 @@ def test_rate_function_far_left_against_mpmath():
         assert cur.rate_function(x, a, b) == pytest.approx(ref, rel=1e-14), x
 
 
+def test_rate_function_near_zero_against_mpmath():
+    # (a + b) - sqrt(x^2 + 4ab) cancels as q -> 1 when x is small: at
+    # q = 1 - 1e-7 the x = 0 value, the inf cell of `rate`, was 2.1e-2 off
+    for q in (0.8, 0.9999, 1.0 - 1e-7):
+        for k in (0.5, 1.0):
+            a, b = cur.walker_rates(q, k)
+            for x in (0.0, 1e-9, -1e-9, 1e-6, -1e-6, 1e-3, 0.1):
+                with mp.workdps(50):
+                    X, A, B = mp.mpf(x), mp.mpf(a), mp.mpf(b)
+                    s = mp.sqrt(X * X + 4 * A * B)
+                    ref = float((A + B) - s + X * mp.log((X + s) / (2 * A)))
+                assert cur.rate_function(x, a, b) == pytest.approx(
+                    ref, rel=1e-13, abs=0.0), (q, k, x)
+
+
 def test_symmetric_rate_function():
     # the symmetric rate-2k walker's closed form
     k = 0.5
